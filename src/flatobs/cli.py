@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from importlib import resources
@@ -63,6 +64,10 @@ class CliError(ToolError):
 
 class SchemaError(CliError):
     code = "cli.schema"
+
+
+# An integer or a fraction with a nonzero denominator, e.g. "-2/3".
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 # -- scenario validation ----------------------------------------------
@@ -131,6 +136,12 @@ def validate_scenario(data) -> dict:
                     f"{context}: candidate point has {len(pt)} coordinates; "
                     f"expected {arity} (ambient model) or {arity - 1} (section model)"
                 )
+            for c in pt:
+                if not _RATIONAL.fullmatch(c):
+                    raise SchemaError(
+                        f"{context}: candidate coordinate {c!r} is not a rational "
+                        "string such as '-2/3' with a nonzero denominator"
+                    )
         _need_hypotheses(data, context)
     elif kind == "quadric_section":
         arity = _need(data, "arity", int, context)

@@ -1,10 +1,20 @@
-"""Gröbner bases (Buchberger) and staircase queries over Q.
+"""Gröbner bases (Buchberger) and staircase queries over Q or F_p.
 
 Supplies the commutative-algebra engine behind the singularity certificates:
 reduced bases, normal forms, standard-monomial enumeration (Artinian quotient
 dimensions), and Krull dimension of projective zero sets via the leading-term
 ideal.  Intended scale is small ideals (a handful of variables, low degree);
-no F4/F5, no modular tricks.
+no F4/F5.
+
+One Buchberger kernel serves two coefficient fields.  By default it works
+over Q with exact `Fraction` coefficients.  With `modulus=p` (a prime) it
+reduces the generators modulo p and works over F_p with `int` coefficients
+in [0, p).  A basis mod p describes the reduction of the ideal, not the
+ideal: Macaulay-matrix ranks can only drop mod p, so the Hilbert function
+over F_p is at least the one over Q and the projective dimension over F_p is
+an upper bound for the one over Q.  Callers may use a mod-p result only to
+confirm a bound of that direction and must fall back to Q otherwise; the
+extendability certificate in `singular` does so with p = 2^31 - 1.
 """
 
 from __future__ import annotations
@@ -12,18 +22,11 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import add, le, sub
 
 from .errors import ToolError
-from .polyring import (
-    Monomial,
-    MultiPoly,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .polyring import Monomial, MultiPoly, monomial_divides, monomial_lcm, monomial_mul
 
 __all__ = [
     "GroebnerBasis",
@@ -61,51 +64,157 @@ def leading_monomial(p: MultiPoly, order: MonomialOrder) -> Monomial:
     return max(p.terms, key=order.key)
 
 
-def _monic(p: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    lc = p.terms[leading_monomial(p, order)]
-    return p if lc == 1 else p * (1 / lc)
+def _lex_heap_key(m: Monomial) -> tuple:
+    return tuple([-e for e in m])
 
 
-def _reduce_full(p: MultiPoly, reducers, order: MonomialOrder) -> MultiPoly:
-    """Full normal form of p against (lead monomial, poly) reducers."""
-    work = dict(p.terms)
-    remainder: dict = {}
-    zero = Fraction(0)
-    while work:
-        m = max(work, key=order.key)
-        c = work[m]
-        for lm, g in reducers:
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
-                factor = c / g.terms[lm]
-                for gm, gc in g.terms.items():
-                    key = monomial_mul(gm, shift)
-                    v = work.get(key, zero) - factor * gc
-                    if v:
-                        work[key] = v
-                    elif key in work:
-                        del work[key]
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return MultiPoly(p.arity, remainder)
+def _grevlex_heap_key(m: Monomial) -> tuple:
+    return (-sum(m), *m[::-1])
+
+
+class _Kernel:
+    """State of one call: the field, the order and a cache of heap keys.
+
+    Polynomials are plain {monomial: coefficient} dicts.  A monomial's heap
+    key is smaller exactly when the monomial is larger in the order, so
+    `heapq` pops the largest pending monomial first.  The key cache lives
+    only as long as the call.
+    """
+
+    def __init__(self, order: MonomialOrder, modulus):
+        self.p = modulus
+        self.keys: dict = {}
+        self._heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grevlex_heap_key
+
+    def key(self, m: Monomial) -> tuple:
+        k = self.keys.get(m)
+        if k is None:
+            k = self.keys[m] = self._heap_key(m)
+        return k
+
+    def lead(self, terms: dict) -> Monomial:
+        return min(terms, key=self.key)
+
+    def coerce(self, terms: dict) -> dict:
+        """Coefficients of a MultiPoly as elements of the field."""
+        p = self.p
+        if p is None:
+            return dict(terms)
+        out = {}
+        for m, c in terms.items():
+            if c.denominator % p == 0:
+                raise IdealError(f"modulus {p} divides a coefficient denominator")
+            v = c.numerator * pow(c.denominator, -1, p) % p
+            if v:
+                out[m] = v
+        return out
+
+    def monic(self, terms: dict):
+        """(nonzero dict scaled to leading coefficient 1, its leading monomial)."""
+        lm = self.lead(terms)
+        c = terms[lm]
+        if c != 1:
+            p = self.p
+            if p is None:
+                inv = 1 / c
+                terms = {m: v * inv for m, v in terms.items()}
+            else:
+                inv = pow(c, -1, p)
+                terms = {m: v * inv % p for m, v in terms.items()}
+        return terms, lm
+
+    def s_polynomial(self, f: dict, lf: Monomial, g: dict, lg: Monomial) -> dict:
+        """S-polynomial of two monic dicts; the leading terms cancel unbuilt."""
+        p = self.p
+        lcm = monomial_lcm(lf, lg)
+        sf = tuple(map(sub, lcm, lf))
+        sg = tuple(map(sub, lcm, lg))
+        out = {tuple(map(add, m, sf)): c for m, c in f.items() if m != lf}
+        for m, c in g.items():
+            if m == lg:
+                continue
+            t = tuple(map(add, m, sg))
+            old = out.get(t)
+            if old is None:
+                out[t] = -c if p is None else p - c
+                continue
+            v = old - c if p is None else (old - c) % p
+            if v:
+                out[t] = v
+            else:
+                del out[t]
+        return out
+
+    def reduce(self, terms: dict, reducers) -> dict:
+        """Full normal form of `terms` against monic (lead, tail items) reducers.
+
+        Pending monomials sit in a heap; a monomial cancelled to zero leaves a
+        stale entry that is skipped when popped.  Reduction only adds terms
+        below the one being reduced, so a popped monomial never comes back.
+        """
+        p = self.p
+        keys = self.keys
+        heap_key = self._heap_key
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        work = dict(terms)
+        heap = [(self.key(m), m) for m in work]
+        heapq.heapify(heap)
+        remainder = {}
+        while heap:
+            m = heappop(heap)[1]
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            for lm, tail in reducers:
+                if all(map(le, lm, m)):
+                    shift = tuple(map(sub, m, lm))
+                    for gm, gc in tail:
+                        t = tuple(map(add, gm, shift))
+                        old = work.get(t)
+                        if old is None:
+                            work[t] = -c * gc if p is None else -c * gc % p
+                            k = keys.get(t)
+                            if k is None:
+                                k = keys[t] = heap_key(t)
+                            heappush(heap, (k, t))
+                            continue
+                        v = old - c * gc if p is None else (old - c * gc) % p
+                        if v:
+                            work[t] = v
+                        else:
+                            del work[t]
+                    break
+            else:
+                remainder[m] = c
+        return remainder
+
+
+def _reducer(terms: dict, lm: Monomial) -> tuple:
+    """(lead, tail items) of a monic dict: the reducer form `reduce` takes."""
+    return lm, [(m, c) for m, c in terms.items() if m != lm]
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    lf, lg = leading_monomial(f, order), leading_monomial(g, order)
-    l = monomial_lcm(lf, lg)
-    mf = MultiPoly(f.arity, {monomial_div(l, lf): 1 / f.terms[lf]})
-    mg = MultiPoly(g.arity, {monomial_div(l, lg): 1 / g.terms[lg]})
-    return mf * f - mg * g
+    if f.is_zero or g.is_zero:
+        raise IdealError("zero polynomial has no leading monomial")
+    kernel = _Kernel(order, None)
+    mf, lf = kernel.monic(dict(f.terms))
+    mg, lg = kernel.monic(dict(g.terms))
+    return MultiPoly(f.arity, kernel.s_polynomial(mf, lf, mg, lg))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Gröbner basis: monic generators, no redundant terms."""
+    """Reduced Gröbner basis: monic generators, no redundant terms.
+
+    `modulus` is None over Q; otherwise the generators are the reduced basis
+    of the ideal's reduction mod that prime, with coefficients in [0, p).
+    """
 
     generators: tuple
     order: MonomialOrder
+    modulus: int | None = None
 
     @property
     def arity(self) -> int:
@@ -120,18 +229,16 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.generators)
 
-    def serialize(self) -> str:
-        lines = [f"order: {self.order.value}"]
-        lines.extend(str(g) for g in self.generators)
-        return "\n".join(lines) + "\n"
 
-
-def buchberger(gens, order: MonomialOrder = MonomialOrder.GREVLEX) -> GroebnerBasis:
+def buchberger(
+    gens, order: MonomialOrder = MonomialOrder.GREVLEX, modulus: int | None = None
+) -> GroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by `gens`.
 
-    Uses a degree-sorted pair queue with both classical pair-skipping
-    criteria (coprime leading terms, chain).  Coefficients are reduced
-    Fractions after every elementary step.
+    Over Q by default; with a prime `modulus` p, over F_p after reducing the
+    generators mod p (p must divide no coefficient denominator).  Uses a
+    degree-sorted pair queue with both classical pair-skipping criteria
+    (coprime leading terms, chain).
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -139,13 +246,23 @@ def buchberger(gens, order: MonomialOrder = MonomialOrder.GREVLEX) -> GroebnerBa
     arity = gens[0].arity
     if any(g.arity != arity for g in gens):
         raise IdealError("generators live in different rings")
+    if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
+        raise IdealError(f"modulus must be a prime, got {modulus!r}")
 
-    basis = []
+    kernel = _Kernel(order, modulus)
+    basis: list = []
+    leads: list = []
     for g in gens:
-        g = _monic(g, order)
-        if g not in basis:
-            basis.append(g)
-    leads = [leading_monomial(g, order) for g in basis]
+        terms = kernel.coerce(g.terms)
+        if not terms:
+            continue
+        terms, lm = kernel.monic(terms)
+        if terms not in basis:
+            basis.append(terms)
+            leads.append(lm)
+    if not basis:
+        raise IdealError(f"every generator vanishes modulo {modulus}")
+    reducers = [_reducer(g, lm) for g, lm in zip(basis, leads)]
 
     pending = set()
     queue: list = []
@@ -178,55 +295,61 @@ def buchberger(gens, order: MonomialOrder = MonomialOrder.GREVLEX) -> GroebnerBa
                 break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce_full(s, list(zip(leads, basis)), order)
-        if r.is_zero:
+        s = kernel.s_polynomial(basis[i], li, basis[j], lj)
+        r = kernel.reduce(s, reducers)
+        if not r:
             continue
-        r = _monic(r, order)
+        r, lr = kernel.monic(r)
         basis.append(r)
-        leads.append(leading_monomial(r, order))
+        leads.append(lr)
+        reducers.append(_reducer(r, lr))
         t = len(basis) - 1
         for k in range(t):
             pair = (k, t)
             pending.add(pair)
             heapq.heappush(queue, (sum(monomial_lcm(leads[k], leads[t])), pair))
 
-    return GroebnerBasis(tuple(_autoreduce(basis, order)), order)
+    reduced = _autoreduce(kernel, basis, leads)
+    return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), order, modulus)
 
 
-def _autoreduce(basis, order: MonomialOrder):
-    # minimalize: drop generators whose lead is divisible by another's lead
-    ordered = sorted(basis, key=lambda g: order.key(leading_monomial(g, order)))
+def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
+    """Minimalize, then tail-reduce; largest leading monomial first."""
+    key = kernel.key
+    ascending = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
+    # minimalize: drop generators whose lead is divisible by a smaller lead
     minimal = []
-    minimal_leads = []
-    for g in ordered:
-        lm = leading_monomial(g, order)
-        if any(monomial_divides(l, lm) for l in minimal_leads):
-            continue
-        minimal.append(g)
-        minimal_leads.append(lm)
-    # tail-reduce each generator against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = [
-                (minimal_leads[k], minimal[k]) for k in range(len(minimal)) if k != i
-            ]
-            r = _monic(_reduce_full(minimal[i], others, order), order)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    minimal.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
-    return minimal
+    for i in ascending:
+        lm = leads[i]
+        if not any(monomial_divides(lead, lm) for lead, _ in minimal):
+            minimal.append((lm, basis[i]))
+    # Leads are now fixed and a tail term can only be divisible by a smaller
+    # lead, so one ascending pass against the already reduced generators
+    # leaves no term of any tail divisible by any lead.
+    reducers = []
+    out = []
+    for lm, g in minimal:
+        tail = {m: c for m, c in g.items() if m != lm}
+        tail = kernel.reduce(tail, reducers)
+        reducers.append((lm, list(tail.items())))
+        out.append({lm: g[lm], **tail})
+    out.reverse()
+    return out
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
-    """Unique remainder of p modulo the ideal: no term divisible by a lead."""
+    """Unique remainder of p modulo the ideal: no term divisible by a lead.
+
+    For a basis mod a prime, p is reduced mod that prime first.
+    """
     if p.arity != gb.arity:
         raise IdealError(f"arity mismatch: {p.arity} vs {gb.arity}")
-    reducers = list(zip(gb.leading_monomials(), gb.generators))
-    return _reduce_full(p, reducers, gb.order)
+    kernel = _Kernel(gb.order, gb.modulus)
+    reducers = []
+    for g in gb.generators:
+        terms = kernel.coerce(g.terms)
+        reducers.append(_reducer(terms, kernel.lead(terms)))
+    return MultiPoly(p.arity, kernel.reduce(kernel.coerce(p.terms), reducers))
 
 
 def standard_monomials(gb: GroebnerBasis, cap=None) -> list:
@@ -269,7 +392,9 @@ def projective_dimension(gb: GroebnerBasis) -> int:
 
     Computed as (size of the largest variable subset independent modulo the
     leading-term ideal) - 1, searching subsets largest-first.  Exhaustive in
-    the arity, which is fine at this package's working scale.
+    the arity, which is fine at this package's working scale.  For a basis
+    mod p this is the dimension of the reduced ideal's zero set over the
+    algebraic closure of F_p.
     """
     if any(not g.is_homogeneous for g in gb.generators):
         raise IdealError("projective dimension needs homogeneous generators")

@@ -7,6 +7,10 @@ accounting: in every affine chart, the Artinian quotient degree of the
 dehomogenized Jacobian ideal must equal the number of verified nodes visible
 there.  Points are verified, never discovered; a missing or irrational
 singular point shows up as a chart-count mismatch and yields complete=False.
+
+Only `extendability` uses modular arithmetic, as a one-way certificate: a
+singular locus of dimension <= 0 mod p = 2^31 - 1 proves the answer True,
+and every other case is decided over Q.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .linalg import exact_rank
 from .polyring import MultiPoly, dehomogenize
 
 __all__ = [
+    "CERTIFICATE_PRIME",
     "NODE",
     "NON_NODE_ISOLATED",
     "UNVERIFIED",
@@ -39,6 +44,9 @@ class SingularError(ToolError):
 NODE = "node"
 NON_NODE_ISOLATED = "non-node-isolated"
 UNVERIFIED = "unverified"
+
+#: Prime of the one-way mod-p certificate in `extendability`.
+CERTIFICATE_PRIME = 2**31 - 1
 
 
 class ProjectivePoint:
@@ -130,11 +138,6 @@ def jacobian_ideal(f: MultiPoly) -> list:
     return [f.partial_derivative(i) for i in range(f.arity)]
 
 
-def _singular_locus_dimension(f: MultiPoly, partials) -> int:
-    gb = buchberger([*partials, f])
-    return projective_dimension(gb)
-
-
 def _chart_hessian_rank(partials, point: ProjectivePoint) -> int:
     """Rank of the Hessian at the point, restricted to the point's chart.
 
@@ -167,7 +170,7 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
     """
     partials = jacobian_ideal(f)
     arity = f.arity
-    locus = _singular_locus_dimension(f, partials)
+    locus = projective_dimension(buchberger([*partials, f]))
 
     classified = []
     notes = []
@@ -233,6 +236,19 @@ def extendability(f: MultiPoly) -> bool:
     Equivalent criterion: the singular locus has dimension <= 0 (isolated
     singularities or smooth).  Only the locus dimension is computed here;
     use analyze_singularities for the full certificate.
+
+    The same generators are first reduced mod p = CERTIFICATE_PRIME, when p
+    divides no coefficient denominator of f and f is not 0 mod p.  The locus
+    over F_p is then at least as large as over Q, so dimension <= 0 mod p
+    proves the answer True; any other mod-p outcome proves nothing, and the
+    exact computation over Q decides.
     """
     partials = jacobian_ideal(f)
-    return _singular_locus_dimension(f, partials) <= 0
+    gens = [*partials, f]
+    p = CERTIFICATE_PRIME
+    reducible = all(c.denominator % p for c in f.terms.values()) and any(
+        c.numerator % p for c in f.terms.values()
+    )
+    if reducible and projective_dimension(buchberger(gens, modulus=p)) <= 0:
+        return True
+    return projective_dimension(buchberger(gens)) <= 0

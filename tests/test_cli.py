@@ -64,6 +64,17 @@ def test_candidate_point_length_checked():
         validate_scenario(data)
 
 
+@pytest.mark.parametrize("coordinate", ["1/0", "abc"])
+def test_candidate_coordinate_must_be_rational(coordinate, capsys, tmp_path):
+    data = bundled_scenario("segre")
+    data["candidate_singular_points"][0][1] = coordinate
+    with pytest.raises(SchemaError, match="not a rational string"):
+        validate_scenario(data)
+    code, _, err = run_cli(capsys, "analyze", write_scenario(tmp_path, data))
+    assert code == 1
+    assert err.startswith("error [cli.schema]")
+
+
 # -- golden scenarios -----------------------------------------------------
 
 def test_segre_golden_report():

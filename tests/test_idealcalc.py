@@ -21,6 +21,7 @@ from oracles import brute_standard_monomials
 
 GREVLEX = MonomialOrder.GREVLEX
 LEX = MonomialOrder.LEX
+PRIME = 2**31 - 1
 
 
 def P(text, arity):
@@ -71,11 +72,10 @@ def assert_reduced(gb):
             )
 
 
-@pytest.mark.parametrize("name, gens", ideal_corpus())
-def test_corpus_bases_are_reduced_groebner(name, gens):
+def check_reduced_groebner(gens, modulus):
     from flatobs.idealcalc import s_polynomial
 
-    gb = buchberger(gens)
+    gb = buchberger(gens, modulus=modulus)
     assert_reduced(gb)
     # Buchberger postcondition: every S-polynomial reduces to zero
     for i in range(len(gb.generators)):
@@ -84,11 +84,22 @@ def test_corpus_bases_are_reduced_groebner(name, gens):
             if not s.is_zero:
                 assert normal_form(s, gb).is_zero
     # idempotence
-    gb2 = buchberger(list(gb.generators))
+    gb2 = buchberger(list(gb.generators), modulus=modulus)
     assert gb2.generators == gb.generators
     # original generators are members
     for g in gens:
         assert normal_form(g, gb).is_zero
+
+
+@pytest.mark.parametrize("name, gens", ideal_corpus())
+def test_corpus_bases_are_reduced_groebner(name, gens):
+    check_reduced_groebner(gens, None)
+
+
+@pytest.mark.parametrize("name, gens", ideal_corpus())
+def test_corpus_bases_mod_p_are_reduced_groebner(name, gens):
+    # S-polynomials of the monic lifts reduce mod p like S-polynomials mod p
+    check_reduced_groebner(gens, PRIME)
 
 
 @pytest.mark.parametrize("name, gens", [c for c in ideal_corpus() if c[0] in
@@ -98,6 +109,45 @@ def test_artinian_dimension_order_independent(name, gens):
     dim_grevlex = len(standard_monomials(buchberger(gens, GREVLEX)))
     dim_lex = len(standard_monomials(buchberger(gens, LEX)))
     assert dim_grevlex == dim_lex
+
+
+KNOWN_BASES = [
+    # (generators, arity, order, modulus, reduced basis, largest lead first)
+    (["x0^2+x1^2-1", "x0-x1"], 2, GREVLEX, None, ["x1^2-1/2", "x0-x1"]),
+    (["x0^2+x1^2-1", "x0-x1"], 2, LEX, None, ["x0-x1", "x1^2-1/2"]),
+    (["x0^2+x1^2-1", "x0-x1"], 2, GREVLEX, PRIME, ["x1^2+1073741823", "x0+2147483646x1"]),
+    (["x0^2+x1^2-1", "x0-x1"], 2, LEX, PRIME, ["x0+2147483646x1", "x1^2+1073741823"]),
+    # determinant -3: two independent lines over Q, one line mod 3
+    (["x0+x1", "x0-2x1"], 2, GREVLEX, None, ["x0", "x1"]),
+    (["x0+x1", "x0-2x1"], 2, LEX, 3, ["x0+x1"]),
+    (["x0+x1", "x0-2x1"], 2, GREVLEX, 3, ["x0+x1"]),
+    (["x0^2-x1", "x0^3-x1"], 2, LEX, None, ["x0^2-x1", "x0*x1-x1", "x1^2-x1"]),
+    (["x0^2-x1", "x0^3-x1"], 2, GREVLEX, 3, ["x0^2+2x1", "x0*x1+2x1", "x1^2+2x1"]),
+    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, GREVLEX, None, ["x0^2+x1*x2", "x1^2-x0*x2"]),
+    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, LEX, None,
+     ["x0^2+x1*x2", "x0*x1^2+x1*x2^2", "x0*x2-x1^2", "x1^4+x1*x2^3"]),
+    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, LEX, PRIME,
+     ["x0^2+x1*x2", "x0*x1^2+x1*x2^2", "x0*x2+2147483646x1^2", "x1^4+x1*x2^3"]),
+]
+
+
+@pytest.mark.parametrize("gens, arity, order, modulus, expected", KNOWN_BASES)
+def test_known_reduced_bases(gens, arity, order, modulus, expected):
+    gb = buchberger([P(g, arity) for g in gens], order, modulus=modulus)
+    assert gb.generators == tuple(P(g, arity) for g in expected)
+    assert gb.modulus == modulus
+
+
+def test_modular_basis_rejects_prime_in_denominator():
+    with pytest.raises(IdealError, match="denominator"):
+        buchberger([P("1/3*x0+x1", 2)], modulus=3)
+    with pytest.raises(IdealError, match="vanishes"):
+        buchberger([P("3x0+6x1", 2)], modulus=3)
+
+
+def test_modular_normal_form_reduces_input_mod_p():
+    gb = buchberger([P("x0^2-x1", 2)], modulus=3)
+    assert normal_form(P("x0^3+1/2*x1", 2), gb) == P("x0*x1+2x1", 2)
 
 
 # -- normal form ------------------------------------------------------
@@ -219,17 +269,6 @@ def test_projective_dimension_requires_homogeneous():
 def test_single_hypersurface_dimension(arity, text):
     gb = buchberger([P(text, arity)])
     assert projective_dimension(gb) == arity - 2
-
-
-# -- serialization ----------------------------------------------------
-
-def test_groebner_serialization_round_trips():
-    gb = buchberger([P("x0^2-x1", 2), P("x1^2", 2)])
-    text = gb.serialize()
-    lines = text.strip().splitlines()
-    assert lines[0] == "order: grevlex"
-    parsed = [parse_poly(line, 2) for line in lines[1:]]
-    assert tuple(parsed) == gb.generators
 
 
 # -- linalg cross-check -----------------------------------------------

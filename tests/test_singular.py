@@ -2,9 +2,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flatobs.polyring import MultiPoly, parse_poly, restrict_to_hyperplane
+from flatobs import singular
+from flatobs.idealcalc import buchberger, projective_dimension
+from flatobs.polyring import MultiPoly, monomials_of_degree, parse_poly, restrict_to_hyperplane
 from flatobs.singular import (
+    CERTIFICATE_PRIME,
     NODE,
     NON_NODE_ISOLATED,
     UNVERIFIED,
@@ -216,3 +221,77 @@ def test_smooth_extendable():
 def test_extendability_agrees_with_report():
     for f in [segre_cubic(), P("x0^3+x1^3+x2^3", 5), P("x0^2+x1^2+x2^2", 3)]:
         assert extendability(f) == (analyze_singularities(f).locus_dimension <= 0)
+
+
+# -- the mod-p certificate -----------------------------------------------
+
+PRIME = CERTIFICATE_PRIME
+
+
+def exact_extendability(f):
+    return projective_dimension(buchberger([*jacobian_ideal(f), f])) <= 0
+
+
+def recorded_moduli(monkeypatch):
+    """Patch the basis routine `extendability` calls and record each modulus."""
+    moduli = []
+
+    def recording(gens, *args, **kwargs):
+        moduli.append(kwargs.get("modulus"))
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr(singular, "buchberger", recording)
+    return moduli
+
+
+_coefficient = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([PRIME, -PRIME, Fraction(1, PRIME), Fraction(2, 3 * PRIME)]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+@st.composite
+def homogeneous_forms(draw):
+    """Diagonal forms plus a few cross terms; a cone when some variable is unused."""
+    arity = draw(st.integers(3, 4))
+    degree = draw(st.integers(2, 3))
+    used = draw(st.integers(arity - 2, arity))
+    monomials = [m for m in monomials_of_degree(arity, degree) if not any(m[used:])]
+    terms = {}
+    for i in range(used):
+        terms[tuple(degree if j == i else 0 for j in range(arity))] = draw(_coefficient)
+    for m in draw(st.lists(st.sampled_from(monomials), max_size=3)):
+        terms[m] = draw(_coefficient)
+    f = MultiPoly(arity, terms)
+    assume(not f.is_zero)
+    return f
+
+
+@given(homogeneous_forms())
+@settings(max_examples=40, deadline=None)
+def test_extendability_matches_exact_route(f):
+    assert extendability(f) == exact_extendability(f)
+
+
+def test_bad_reduction_falls_back_to_q(monkeypatch):
+    # smooth quadric over Q; mod p it is x0^2 + x1^2, singular along a line
+    f = MultiPoly(4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): PRIME, (0, 0, 0, 2): PRIME})
+    gens = [*jacobian_ideal(f), f]
+    assert projective_dimension(buchberger(gens, modulus=PRIME)) == 1
+    moduli = recorded_moduli(monkeypatch)
+    assert extendability(f) is True
+    assert moduli == [PRIME, None]
+
+
+def test_prime_in_a_denominator_skips_the_certificate(monkeypatch):
+    f = P(f"x0^2+x1^2+1/{PRIME}*x2^2", 3)
+    moduli = recorded_moduli(monkeypatch)
+    assert extendability(f) is True
+    assert moduli == [None]
+
+
+def test_certificate_confirms_without_q(monkeypatch):
+    moduli = recorded_moduli(monkeypatch)
+    assert extendability(P("x0^3+x1^3+x2^3+x3^3", 4)) is True
+    assert moduli == [PRIME]
