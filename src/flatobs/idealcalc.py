@@ -23,10 +23,16 @@ import enum
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, le, sub
 
 from .errors import ToolError
-from .polyring import Monomial, MultiPoly, monomial_divides, monomial_lcm, monomial_mul
+from .polyring import (
+    Monomial,
+    MultiPoly,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 
 __all__ = [
     "GroebnerBasis",
@@ -127,13 +133,13 @@ class _Kernel:
         """S-polynomial of two monic dicts; the leading terms cancel unbuilt."""
         p = self.p
         lcm = monomial_lcm(lf, lg)
-        sf = tuple(map(sub, lcm, lf))
-        sg = tuple(map(sub, lcm, lg))
-        out = {tuple(map(add, m, sf)): c for m, c in f.items() if m != lf}
+        sf = monomial_div(lcm, lf)
+        sg = monomial_div(lcm, lg)
+        out = {monomial_mul(m, sf): c for m, c in f.items() if m != lf}
         for m, c in g.items():
             if m == lg:
                 continue
-            t = tuple(map(add, m, sg))
+            t = monomial_mul(m, sg)
             old = out.get(t)
             if old is None:
                 out[t] = -c if p is None else p - c
@@ -167,10 +173,10 @@ class _Kernel:
             if c is None:
                 continue
             for lm, tail in reducers:
-                if all(map(le, lm, m)):
-                    shift = tuple(map(sub, m, lm))
+                if monomial_divides(lm, m):
+                    shift = monomial_div(m, lm)
                     for gm, gc in tail:
-                        t = tuple(map(add, gm, shift))
+                        t = monomial_mul(gm, shift)
                         old = work.get(t)
                         if old is None:
                             work[t] = -c * gc if p is None else -c * gc % p
