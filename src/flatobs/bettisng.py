@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ToolError
-from .linalg import exact_rank, matrix_to_csv
+from .linalg import exact_rank
 from .obstruct import UNKNOWN, BettiVector
 from .polyring import MultiPoly, monomials_of_degree
 
@@ -28,7 +28,6 @@ __all__ = [
     "defect",
     "evaluation_matrix",
     "gram_matrix",
-    "matrix_to_csv",
     "quadric_analysis",
 ]
 

@@ -1,8 +1,9 @@
 """Scenario runner and report emitter.
 
-`analyze` ingests a scenario JSON (schema shipped in-package), runs the
-pipeline (restrict -> singularity certificate -> Betti assembly -> verdict),
-and emits a deterministic report as text or JSON.  Partial failures annotate
+`analyze` ingests a scenario JSON (`validate_scenario` is the format's
+spec), runs the pipeline (restrict -> singularity certificate -> Betti
+assembly -> verdict), and emits a report as text or JSON that is
+deterministic apart from `timing_seconds`.  Partial failures annotate
 the report instead of aborting when downstream steps are independent.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
@@ -48,8 +49,6 @@ from .polyring import parse_poly, restrict_to_hyperplane
 from .singular import ProjectivePoint, analyze_singularities, extendability
 
 REPORT_SCHEMA_VERSION = 1
-
-KINDS = ("hypersurface_section", "quadric_section", "smooth_ci", "level1_scan", "extendability")
 
 SCAN_CONVENTIONS = [
     "box-relative: the classification is certified only inside the stated box",
@@ -102,7 +101,7 @@ def _need_multidegree(data: dict, context: str) -> Multidegree:
 
 
 def validate_scenario(data) -> dict:
-    """Schema-check a scenario dict before any computation."""
+    """Check a scenario dict before any computation; this is the scenario spec."""
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object")
     version = _need(data, "schema_version", int, "scenario")
@@ -142,7 +141,6 @@ def validate_scenario(data) -> dict:
                         f"{context}: candidate coordinate {c!r} is not a rational "
                         "string such as '-2/3' with a nonzero denominator"
                     )
-        _need_hypotheses(data, context)
     elif kind == "quadric_section":
         arity = _need(data, "arity", int, context)
         if arity < 2:
@@ -152,10 +150,8 @@ def validate_scenario(data) -> dict:
         _need_multidegree(family, f"{context}.smooth_family")
         flags = _need(data, "section_smooth_flags", dict, context)
         _need(flags, "components_smooth_and_distinct", bool, f"{context}.section_smooth_flags")
-        _need_hypotheses(data, context)
     elif kind == "smooth_ci":
         _need_multidegree(data, context)
-        _need_hypotheses(data, context)
     elif kind == "level1_scan":
         for key in ("n_max", "d_max", "k_max"):
             _need(data, key, int, context)
@@ -164,6 +160,8 @@ def validate_scenario(data) -> dict:
         if arity < 2:
             raise SchemaError(f"{context}: arity must be at least 2")
         _need(data, "polynomial", str, context)
+    if KINDS[kind][1]:
+        _need_hypotheses(data, context)
     return data
 
 
@@ -186,8 +184,36 @@ def bundled_scenario(name: str) -> dict:
 # -- verdict assembly --------------------------------------------------
 
 
-def _verdict_block(bv: BettiVector, hypotheses: Hypotheses, fiber_dim, pipeline, annotations):
-    """Fill ih_profile/corob into the pipeline and return the verdict dict."""
+def _smooth_family(md: Multidegree, hypotheses: Hypotheses, annotations):
+    """Hodge diamond and Betti vector of the smooth member, built once.
+
+    The Hodge level is annotated as evidence for the abelian_scheme assertion.
+    """
+    diamond = hodge_diamond(md)
+    level = diamond.level()
+    if not level.is_constant and level.value == 1:
+        annotations.append(
+            f"abelian_scheme assertion corroborated: {md.label()} has Hodge level 1"
+        )
+    elif hypotheses.abelian_scheme:
+        annotations.append(
+            f"warning: abelian_scheme asserted but {md.label()} has Hodge level {level}"
+        )
+    return diamond, betti_vector_smooth(diamond)
+
+
+def _verdict_tail(bv, smooth_bv: BettiVector, hypotheses: Hypotheses, pipeline, annotations):
+    """Betti vector -> fiber dimension -> verdict, IH profile and vanishing table.
+
+    Fills `pipeline` and returns the verdict dict, or None when `bv` is None
+    or the hypotheses refuse a verdict.
+    """
+    if bv is None:
+        return None
+    pipeline["betti_vector"] = bv.to_json()
+    middle = smooth_bv.b(bv.n)
+    fiber_dim = middle // 2 if middle % 2 == 0 else None
+    pipeline["fiber_dimension"] = fiber_dim
     try:
         block = verdict_report(bv, hypotheses)
     except HypothesisError as exc:
@@ -206,22 +232,13 @@ def _verdict_block(bv: BettiVector, hypotheses: Hypotheses, fiber_dim, pipeline,
     return block
 
 
-def _level1_evidence(md: Multidegree, hypotheses: Hypotheses, annotations):
-    level = hodge_diamond(md).level()
-    if not level.is_constant and level.value == 1:
-        annotations.append(
-            f"abelian_scheme assertion corroborated: {md.label()} has Hodge level 1"
-        )
-    elif hypotheses.abelian_scheme:
-        annotations.append(
-            f"warning: abelian_scheme asserted but {md.label()} has Hodge level {level}"
-        )
-
-
 # -- pipelines ----------------------------------------------------------
+#
+# Every runner takes (data, hypotheses, dump_matrix) and returns
+# (pipeline, verdict dict or None, annotations).
 
 
-def _run_hypersurface_section(data: dict, dump_matrix=None):
+def _run_hypersurface_section(data: dict, hypotheses: Hypotheses, dump_matrix):
     pipeline: dict = {}
     annotations: list = []
     arity = data["ambient_arity"]
@@ -258,14 +275,8 @@ def _run_hypersurface_section(data: dict, dump_matrix=None):
     pipeline["extendable"] = report.locus_dimension <= 0
 
     md = Multidegree(n, (d,))
-    smooth_bv = betti_vector_smooth(md)
-    pipeline["smooth_family"] = {
-        "label": md.label(),
-        "betti": smooth_bv.to_json(),
-    }
-
-    hypotheses = _need_hypotheses(data, "scenario")
-    _level1_evidence(md, hypotheses, annotations)
+    _, smooth_bv = _smooth_family(md, hypotheses, annotations)
+    pipeline["smooth_family"] = {"label": md.label(), "betti": smooth_bv.to_json()}
 
     bv = None
     if report.locus_dimension == -1:
@@ -287,18 +298,10 @@ def _run_hypersurface_section(data: dict, dump_matrix=None):
             f"{report.locus_dimension}, complete={report.complete}); "
             "Betti vector and verdict unavailable"
         )
-
-    verdict_json = None
-    if bv is not None:
-        pipeline["betti_vector"] = bv.to_json()
-        middle = smooth_bv.b(n)
-        fiber_dim = middle // 2 if middle % 2 == 0 else None
-        pipeline["fiber_dimension"] = fiber_dim
-        verdict_json = _verdict_block(bv, hypotheses, fiber_dim, pipeline, annotations)
-    return pipeline, verdict_json, annotations
+    return pipeline, _verdict_tail(bv, smooth_bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_quadric_section(data: dict):
+def _run_quadric_section(data: dict, hypotheses: Hypotheses, dump_matrix):
     pipeline: dict = {}
     annotations: list = []
     quadric = parse_poly(data["quadric"], data["arity"])
@@ -309,16 +312,12 @@ def _run_quadric_section(data: dict):
     )
     pipeline["quadric"] = analysis.to_json_dict()
 
-    family = data["smooth_family"]
-    md = Multidegree(family["dimension"], tuple(family["degrees"]))
+    md = _need_multidegree(data["smooth_family"], "scenario.smooth_family")
     n = md.n
     if n % 2 == 0:
         raise CliError("quadric-section scenarios need an odd section dimension")
-    smooth_bv = betti_vector_smooth(md)
+    _, smooth_bv = _smooth_family(md, hypotheses, annotations)
     pipeline["smooth_family"] = {"label": md.label(), "betti": smooth_bv.to_json()}
-
-    hypotheses = _need_hypotheses(data, "scenario")
-    _level1_evidence(md, hypotheses, annotations)
 
     bv = None
     if analysis.components_of_section == 2:
@@ -342,40 +341,25 @@ def _run_quadric_section(data: dict):
         annotations.append(
             "quadric is irreducible (rank >= 3); no reducibility obstruction from this section"
         )
-
-    verdict_json = None
-    if bv is not None:
-        pipeline["betti_vector"] = bv.to_json()
-        middle = smooth_bv.b(n)
-        fiber_dim = middle // 2 if middle % 2 == 0 else None
-        pipeline["fiber_dimension"] = fiber_dim
-        verdict_json = _verdict_block(bv, hypotheses, fiber_dim, pipeline, annotations)
-    return pipeline, verdict_json, annotations
+    return pipeline, _verdict_tail(bv, smooth_bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_smooth_ci(data: dict):
+def _run_smooth_ci(data: dict, hypotheses: Hypotheses, dump_matrix):
     pipeline: dict = {}
     annotations: list = []
     md = _need_multidegree(data, "scenario")
-    diamond = hodge_diamond(md)
-    bv = betti_vector_smooth(md)
+    diamond, bv = _smooth_family(md, hypotheses, annotations)
+    level = diamond.level()
     pipeline["hodge"] = {
         "label": md.label(),
         "middle": list(diamond.middle),
-        "level": "constant" if diamond.level().is_constant else diamond.level().value,
+        "level": "constant" if level.is_constant else level.value,
         "euler": diamond.euler(),
     }
-    pipeline["betti_vector"] = bv.to_json()
-    hypotheses = _need_hypotheses(data, "scenario")
-    _level1_evidence(md, hypotheses, annotations)
-    middle = bv.b(md.n)
-    fiber_dim = middle // 2 if middle % 2 == 0 else None
-    pipeline["fiber_dimension"] = fiber_dim
-    verdict_json = _verdict_block(bv, hypotheses, fiber_dim, pipeline, annotations)
-    return pipeline, verdict_json, annotations
+    return pipeline, _verdict_tail(bv, bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_level1_scan(data: dict):
+def _run_level1_scan(data: dict, hypotheses, dump_matrix):
     found = scan_level1(data["n_max"], data["d_max"], data["k_max"])
     pipeline = {
         "box": {"n_max": data["n_max"], "d_max": data["d_max"], "k_max": data["k_max"]},
@@ -387,19 +371,20 @@ def _run_level1_scan(data: dict):
     return pipeline, None, []
 
 
-def _run_extendability(data: dict):
+def _run_extendability(data: dict, hypotheses, dump_matrix):
     poly = parse_poly(data["polynomial"], data["arity"])
     result = extendability(poly)
     pipeline = {"extendable": result, "arity": data["arity"]}
     return pipeline, None, []
 
 
-_RUNNERS = {
-    "hypersurface_section": _run_hypersurface_section,
-    "quadric_section": _run_quadric_section,
-    "smooth_ci": _run_smooth_ci,
-    "level1_scan": _run_level1_scan,
-    "extendability": _run_extendability,
+# kind -> (runner, whether the scenario states hypotheses and gets a verdict)
+KINDS = {
+    "hypersurface_section": (_run_hypersurface_section, True),
+    "quadric_section": (_run_quadric_section, True),
+    "smooth_ci": (_run_smooth_ci, True),
+    "level1_scan": (_run_level1_scan, False),
+    "extendability": (_run_extendability, False),
 }
 
 
@@ -407,11 +392,9 @@ def run(data: dict, dump_matrix=None) -> dict:
     """Execute a validated scenario and assemble the full report."""
     data = validate_scenario(data)
     start = time.perf_counter()
-    runner = _RUNNERS[data["kind"]]
-    if data["kind"] == "hypersurface_section":
-        pipeline, verdict_json, annotations = runner(data, dump_matrix=dump_matrix)
-    else:
-        pipeline, verdict_json, annotations = runner(data)
+    runner, has_verdict = KINDS[data["kind"]]
+    hypotheses = _need_hypotheses(data, "scenario") if has_verdict else None
+    pipeline, verdict_json, annotations = runner(data, hypotheses, dump_matrix)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "flatobs", "version": __version__},

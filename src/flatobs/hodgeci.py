@@ -350,9 +350,9 @@ def hodge_level(md: Multidegree) -> HodgeLevel:
     return hodge_diamond(md).level()
 
 
-def betti_vector_smooth(md: Multidegree) -> BettiVector:
+def betti_vector_smooth(diamond: HodgeDiamond) -> BettiVector:
     """Full Betti vector b_0..b_{2n} of the smooth family member."""
-    return BettiVector(md.n, tuple(hodge_diamond(md).betti_list()))
+    return BettiVector(diamond.n, tuple(diamond.betti_list()))
 
 
 def linear_system_dim(N: int, d: int) -> int:

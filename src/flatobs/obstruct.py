@@ -17,7 +17,6 @@ from .errors import ToolError
 __all__ = [
     "UNKNOWN",
     "BettiVector",
-    "BudgetLine",
     "CorobResult",
     "DISCLAIMER",
     "Hypotheses",
@@ -27,7 +26,6 @@ __all__ = [
     "ObstructionVerdict",
     "Outcome",
     "Witness",
-    "budget_check",
     "corob_check",
     "ih_from_betti",
     "is_palindromic",
@@ -328,34 +326,3 @@ def corob_check(ih_table: dict, n: int) -> CorobResult:
         )
     return CorobResult(flat_excluded, irreducible_excluded, tuple(witnesses))
 
-
-class BudgetLine(NamedTuple):
-    """Per-degree comparison of summed IH dimensions against a fiber budget."""
-
-    total: int
-    budget: object  # int, or None when the fiber entry is UNKNOWN
-    ok: object  # bool, or None when the budget is unknown
-    slack: object  # budget - total when comparable
-
-
-def budget_check(ih_by_jk: dict, fiber_betti: BettiVector) -> dict:
-    """For each degree m: sum of dim IH^j(R^k) over j+k = m must fit in b_m.
-
-    Returns {m: BudgetLine}.  Degrees come from the fiber vector's full range
-    plus any table keys outside it (their budget is then 0).
-    """
-    totals: dict = {}
-    for (j, k), dim in ih_by_jk.items():
-        if dim < 0:
-            raise ObstructError(f"table entry ({j}, {k}) is negative")
-        totals[j + k] = totals.get(j + k, 0) + dim
-    degrees = sorted(set(range(0, 2 * fiber_betti.n + 1)) | set(totals))
-    out = {}
-    for m in degrees:
-        total = totals.get(m, 0)
-        budget = fiber_betti.b(m)
-        if budget is UNKNOWN:
-            out[m] = BudgetLine(total, None, None, None)
-        else:
-            out[m] = BudgetLine(total, budget, total <= budget, budget - total)
-    return out

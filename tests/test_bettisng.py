@@ -12,9 +12,9 @@ from flatobs.bettisng import (
     defect,
     evaluation_matrix,
     gram_matrix,
-    matrix_to_csv,
     quadric_analysis,
 )
+from flatobs.linalg import matrix_to_csv
 from flatobs.obstruct import UNKNOWN, BettiVector
 from flatobs.polyring import MultiPoly, parse_poly
 from flatobs.singular import ProjectivePoint

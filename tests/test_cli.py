@@ -1,16 +1,25 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import flatobs
+from flatobs import cli, hodgeci
 from flatobs.cli import (
     CliError,
     SchemaError,
     bundled_scenario,
     load_scenario,
     main,
+    render_text,
     run,
     validate_scenario,
 )
+
+GOLDENS = ("segre", "degenerate_quadric", "smooth_cubic3fold")
+GOLDEN_DIR = Path(__file__).parent / "golden"
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def run_cli(capsys, *argv):
@@ -28,7 +37,7 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 # -- schema validation ---------------------------------------------------
 
 def test_bundled_scenarios_validate():
-    for name in ("segre", "degenerate_quadric", "smooth_cubic3fold"):
+    for name in GOLDENS:
         data = bundled_scenario(name)
         assert validate_scenario(data) is data
 
@@ -120,6 +129,31 @@ def test_smooth_golden_report():
     assert report["verdict"]["verdict"] == "NO_OBSTRUCTION_FOUND"
     assert report["verdict"]["witnesses"] == []
     assert "does not assert" in report["verdict"]["disclaimer"]
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_reports_match_pinned_output(name):
+    # tests/golden holds whole reports (JSON without timing_seconds, and text)
+    report = run(bundled_scenario(name))
+    report.pop("timing_seconds")
+    pinned = GOLDEN_DIR / name
+    assert json.dumps(report, indent=2) + "\n" == pinned.with_suffix(".json").read_text("utf-8")
+    assert render_text(report) == pinned.with_suffix(".txt").read_text("utf-8")
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_one_hodge_diamond_per_op(name, monkeypatch):
+    calls = []
+    original = hodgeci.hodge_diamond
+
+    def counting(md):
+        calls.append(md)
+        return original(md)
+
+    monkeypatch.setattr(cli, "hodge_diamond", counting)
+    monkeypatch.setattr(hodgeci, "hodge_diamond", counting)
+    run(bundled_scenario(name))
+    assert len(calls) == 1
 
 
 def test_reports_are_deterministic():
@@ -333,3 +367,16 @@ def test_load_scenario_validates(tmp_path):
     path.write_text("not json")
     with pytest.raises(SchemaError):
         load_scenario(str(path))
+
+
+# -- bench trace bindings ------------------------------------------------------
+
+def test_tracer_bindings_resolve():
+    # perfbench/run.py --trace 1 patches these names; a refactor that drops
+    # one would otherwise surface only in the slow bench self-check
+    spec = importlib.util.spec_from_file_location("flatobs_bench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.BINDINGS:
+        owner, key = tracer.binding_owner(flatobs, module, attr)
+        assert key in owner.__dict__, f"{module}.{attr}"

@@ -162,19 +162,19 @@ def test_linear_system_dims():
 # -- betti vectors -------------------------------------------------------------
 
 def test_betti_vector_cubic_threefold():
-    assert betti_vector_smooth(md(3, 3)).entries == (1, 0, 1, 10, 1, 0, 1)
+    assert betti_vector_smooth(hodge_diamond(md(3, 3))).entries == (1, 0, 1, 10, 1, 0, 1)
 
 
 def test_betti_vector_v3_23():
-    assert betti_vector_smooth(md(3, 2, 3)).entries == (1, 0, 1, 40, 1, 0, 1)
+    assert betti_vector_smooth(hodge_diamond(md(3, 2, 3))).entries == (1, 0, 1, 40, 1, 0, 1)
 
 
 def test_betti_vector_elliptic_curve():
-    assert betti_vector_smooth(md(1, 3)).entries == (1, 2, 1)
+    assert betti_vector_smooth(hodge_diamond(md(1, 3))).entries == (1, 2, 1)
 
 
 def test_betti_vector_even_dimension_includes_diagonal_class():
-    assert betti_vector_smooth(md(2, 3)).entries == (1, 0, 7, 0, 1)
+    assert betti_vector_smooth(hodge_diamond(md(2, 3))).entries == (1, 0, 7, 0, 1)
 
 
 # -- consistency invariants ------------------------------------------------------

@@ -9,7 +9,6 @@ from flatobs.obstruct import (
     InputInconsistentError,
     ObstructError,
     Outcome,
-    budget_check,
     corob_check,
     ih_from_betti,
     is_palindromic,
@@ -169,47 +168,13 @@ def test_corob_absent_top_entry_not_asserted():
     assert not result.irreducible_excluded
 
 
-# -- budget_check --------------------------------------------------------------
-
-def test_budget_equality_case():
-    fiber = BettiVector(1, (1, 2, 1))
-    table = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 0}
-    lines = budget_check(table, fiber)
-    assert lines[0].ok and lines[0].slack == 0
-    assert lines[1].ok and lines[1].slack == 0
-    assert lines[2].ok and lines[2].slack == 0
-
-
-def test_budget_violation():
-    fiber = BettiVector(1, (1, 2, 1))
-    lines = budget_check({(1, 1): 3}, fiber)
-    assert lines[2].ok is False and lines[2].slack == -2
-
-
-def test_budget_against_segre_profile():
-    # section family: the profile sits in degrees j + n, so IH^1 must fit in
-    # b_4 of the compactified section fiber; the nodal vector has b_4 = 6 >= 5
-    ih = ih_from_betti(SEGRE, True)
-    table = {(j, 3): ih.dims[j] for j in range(1, 4)}
-    table[(0, 4)] = 1
-    lines = budget_check(table, BettiVector(3, (1, 0, 1, 10, 6, 0, 1)))
-    assert lines[4] == (6, 6, True, 0)
-    assert all(line.ok for line in lines.values() if line.ok is not None)
-
-
-def test_budget_unknown_middle_is_indeterminate():
-    fiber = BettiVector(1, (1, UNKNOWN, 1))
-    lines = budget_check({(0, 1): 5}, fiber)
-    assert lines[1].ok is None
-
-
 def test_level1_smooth_sections_have_zero_profile():
     # smooth members of level-1 families carry symmetric Betti vectors,
     # so the derived local IH dimensions all vanish
-    from flatobs.hodgeci import betti_vector_smooth, scan_level1
+    from flatobs.hodgeci import betti_vector_smooth, hodge_diamond, scan_level1
 
     for md in scan_level1(5, 4, 3):
-        ih = ih_from_betti(betti_vector_smooth(md), True)
+        ih = ih_from_betti(betti_vector_smooth(hodge_diamond(md)), True)
         assert all(d == 0 for d in ih.dims[1:]), md.label()
 
 
