@@ -1,13 +1,19 @@
 """Hodge diamonds, Betti vectors, and Hodge levels of smooth complete intersections.
 
 Primary route: exact Hirzebruch-Riemann-Roch in the truncated series ring
-Q[h]/(h^{n+1}).  The total Chern class of the tangent bundle of an
-n-dimensional complete intersection of degrees d_1..d_k in P^{n+k} is
-(1+h)^{n+k+1} / prod_j (1 + d_j h); Chern characters of exterior powers of
-the cotangent bundle come from Newton power sums of the formal Chern roots;
-chi_p = deg(X) * [h^n] ch(Lambda^p Omega) * td(T).  Middle Hodge numbers are
-recovered from the chi_p together with the hyperplane-section shape of the
-off-middle cohomology.
+Q[h]/(h^{n+1}).  The tangent bundle of an n-dimensional complete
+intersection X of degrees d_1..d_k in P^{n+k} is, in K-theory,
+T_P|X - O - (O(d_1) + ... + O(d_k)), so the power sums of its formal Chern
+roots have the closed form p_s = (n+k+1 - sum_j d_j^s) h^s for s >= 1
+(Hirzebruch, Topological Methods in Algebraic Geometry, section 22).  Chern
+characters of exterior powers of the cotangent bundle and the Todd class
+come from these power sums; chi_p = deg(X) * [h^n] ch(Lambda^p Omega) * td(T).
+Middle Hodge numbers are recovered from the chi_p together with the
+hyperplane-section shape of the off-middle cohomology.
+
+The Euler characteristic takes a second route, deg(X) * [h^n] of the total
+Chern class (1+h)^{n+k+1} / prod_j (1 + d_j h), which shares no code with
+the power sums.
 
 Independent oracle (hypersurfaces only): the Griffiths residue description,
 counting bounded-exponent monomials in the graded pieces of the Jacobian
@@ -33,7 +39,6 @@ __all__ = [
     "euler_characteristic",
     "griffiths_middle_hodge",
     "hodge_diamond",
-    "hodge_level",
     "linear_system_dim",
     "scan_level1",
 ]
@@ -169,22 +174,6 @@ def _chern_total(md: Multidegree, prec: int):
     return c
 
 
-def _power_sums(chern, n: int):
-    """Power sums p_r of the n formal Chern roots, r = 1..n (Newton's identities).
-
-    chern[i] is the h^i coefficient of the total Chern class, i.e. the value
-    of the i-th elementary symmetric function of the roots (times h^i).
-    """
-    e = [chern[i] if i < len(chern) else Fraction(0) for i in range(n + 1)]
-    p = [Fraction(0)] * (n + 1)
-    for r in range(1, n + 1):
-        acc = Fraction(-1) ** (r - 1) * r * e[r]
-        for j in range(1, r):
-            acc += Fraction(-1) ** (j - 1) * e[j] * p[r - j]
-        p[r] = acc
-    return p
-
-
 def _todd_class(power_sums, prec: int):
     """td(T_X) = exp(sum_i q(a_i)) with q = -log((1 - e^{-a})/a)."""
     fact = _factorials(prec + 1)
@@ -235,13 +224,6 @@ class HodgeDiamond:
     n: int
     middle: tuple
 
-    def hodge_number(self, p: int, q: int) -> int:
-        if not (0 <= p <= self.n and 0 <= q <= self.n):
-            return 0
-        if p + q == self.n:
-            return self.middle[p]
-        return 1 if p == q else 0
-
     def primitive_middle(self) -> tuple:
         out = list(self.middle)
         if self.n % 2 == 0:
@@ -286,8 +268,8 @@ def hodge_diamond(md: Multidegree) -> HodgeDiamond:
     n = md.n
     prec = n + 1
     degree = prod(md.degrees)
-    chern = _chern_total(md, prec)
-    p_sums = _power_sums(chern, n)
+    # p_s of the Chern roots for s >= 1; p_0 is the rank n
+    p_sums = [n] + [md.ambient + 1 - sum(d**s for d in md.degrees) for s in range(1, n + 1)]
     todd = _todd_class(p_sums, prec)
     exterior = _exterior_chern_characters(p_sums, n, prec)
     middle = []
@@ -346,10 +328,6 @@ def griffiths_middle_hodge(d: int, n: int) -> tuple:
     return tuple(counts)
 
 
-def hodge_level(md: Multidegree) -> HodgeLevel:
-    return hodge_diamond(md).level()
-
-
 def betti_vector_smooth(diamond: HodgeDiamond) -> BettiVector:
     """Full Betti vector b_0..b_{2n} of the smooth family member."""
     return BettiVector(diamond.n, tuple(diamond.betti_list()))
@@ -377,7 +355,7 @@ def scan_level1(n_max: int, d_max: int, k_max: int) -> list:
         for k in range(1, k_max + 1):
             for degrees in combinations_with_replacement(range(2, d_max + 1), k):
                 md = Multidegree(n, degrees)
-                level = hodge_level(md)
+                level = hodge_diamond(md).level()
                 if not level.is_constant and level.value == 1:
                     found.append(md)
     return sorted(found)

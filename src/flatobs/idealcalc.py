@@ -56,26 +56,27 @@ class MonomialOrder(enum.Enum):
     GREVLEX = "grevlex"
     LEX = "lex"
 
-    def key(self, m: Monomial):
-        """Sort key: m1 > m2 in the order iff key(m1) > key(m2)."""
-        if self is MonomialOrder.LEX:
-            return m
-        # graded, ties broken by smallest trailing exponent difference
-        return (sum(m), tuple(-e for e in reversed(m)))
 
-
-def leading_monomial(p: MultiPoly, order: MonomialOrder) -> Monomial:
-    if p.is_zero:
-        raise IdealError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
-
+# The heap keys define the orders: m1 > m2 iff key(m1) < key(m2), so the
+# largest monomial is the minimum under the key.
 
 def _lex_heap_key(m: Monomial) -> tuple:
     return tuple([-e for e in m])
 
 
 def _grevlex_heap_key(m: Monomial) -> tuple:
+    # graded; on a tie the monomial with the smaller exponent at the last
+    # differing position is the larger
     return (-sum(m), *m[::-1])
+
+
+_HEAP_KEYS = {MonomialOrder.LEX: _lex_heap_key, MonomialOrder.GREVLEX: _grevlex_heap_key}
+
+
+def leading_monomial(p: MultiPoly, order: MonomialOrder) -> Monomial:
+    if p.is_zero:
+        raise IdealError("zero polynomial has no leading monomial")
+    return min(p.terms, key=_HEAP_KEYS[order])
 
 
 class _Kernel:
@@ -90,7 +91,7 @@ class _Kernel:
     def __init__(self, order: MonomialOrder, modulus):
         self.p = modulus
         self.keys: dict = {}
-        self._heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grevlex_heap_key
+        self._heap_key = _HEAP_KEYS[order]
 
     def key(self, m: Monomial) -> tuple:
         k = self.keys.get(m)

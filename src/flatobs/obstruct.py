@@ -1,9 +1,11 @@
-"""Verdict engine: Betti palindromicity, local IH dimensions, obstructions.
+"""Verdict engine: local IH dimensions from Betti differences, obstructions.
 
-The logic is strictly one-directional.  A failed palindromicity test rules
-out a flat regular compactification (or one with irreducible fibers); a
-passed test rules out nothing, and NO_OBSTRUCTION_FOUND never asserts that a
-compactification exists.
+The verdict is read off the local intersection cohomology at the section's
+parameter point, dim IH^k = b_{n+k} - b_{n-k}.  The logic is strictly
+one-directional.  A nonzero IH^k with k >= 2 rules out a flat regular
+compactification, and a nonzero IH^1 rules out one with irreducible fibers;
+an all-zero profile rules out nothing, and NO_OBSTRUCTION_FOUND never asserts
+that a compactification exists.
 """
 
 from __future__ import annotations
@@ -23,14 +25,9 @@ __all__ = [
     "IHProfile",
     "InputInconsistentError",
     "ObstructError",
-    "ObstructionVerdict",
     "Outcome",
-    "Witness",
     "corob_check",
     "ih_from_betti",
-    "is_palindromic",
-    "is_weakly_palindromic",
-    "verdict",
     "verdict_report",
 ]
 
@@ -94,24 +91,11 @@ class BettiVector:
     def middle(self):
         return self.entries[self.n]
 
-    def with_middle(self, value) -> "BettiVector":
-        entries = list(self.entries)
-        entries[self.n] = value
-        return BettiVector(self.n, tuple(entries))
-
     def to_json(self) -> list:
         return list(self.entries)
 
     def __str__(self) -> str:
         return "(" + ", ".join("?" if v is UNKNOWN else str(v) for v in self.entries) + ")"
-
-
-class Witness(NamedTuple):
-    """A failed comparison b_{n+k} vs b_{n-k}."""
-
-    k: int
-    b_plus: int
-    b_minus: int
 
 
 @dataclass(frozen=True)
@@ -143,25 +127,6 @@ class IHProfile:
         return list(self.dims)
 
 
-def _witnesses(b: BettiVector, min_k: int) -> tuple:
-    out = []
-    for k in range(min_k, b.n + 1):
-        plus, minus = b.b(b.n + k), b.b(b.n - k)
-        if plus != minus:
-            out.append(Witness(k, plus, minus))
-    return tuple(out)
-
-
-def is_palindromic(b: BettiVector) -> bool:
-    """b_{n+k} == b_{n-k} for all k >= 1 (the middle entry is never consulted)."""
-    return not _witnesses(b, 1)
-
-
-def is_weakly_palindromic(b: BettiVector) -> bool:
-    """b_{n+k} == b_{n-k} for all k > 1."""
-    return not _witnesses(b, 2)
-
-
 def ih_from_betti(b: BettiVector, H_nonconstant: bool) -> IHProfile:
     """Local IH dimensions at the section's parameter point, from Betti differences.
 
@@ -190,81 +155,47 @@ class Outcome(enum.Enum):
     NO_IRREDUCIBLE_FIBER_COMPACTIFICATION = "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION"
     NO_FLAT_COMPACTIFICATION = "NO_FLAT_COMPACTIFICATION"
 
-    @property
-    def strength(self) -> int:
-        order = [
-            Outcome.NO_OBSTRUCTION_FOUND,
-            Outcome.NO_IRREDUCIBLE_FIBER_COMPACTIFICATION,
-            Outcome.NO_FLAT_COMPACTIFICATION,
-        ]
-        return order.index(self)
 
+def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
+    """Obstruction verdict and IH profile in the wire JSON schema.
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    weakly_palindromic: bool
-    palindromic: bool
-    verdict: Outcome
-    evidence: tuple
-    hypotheses: Hypotheses
-    disclaimer: str = DISCLAIMER
-
-
-def verdict(b: BettiVector, hypotheses: Hypotheses) -> ObstructionVerdict:
-    """Decide the obstruction outcome for a section's Betti vector.
-
-    Both hypothesis flags must be asserted true by the caller; the middle
-    Betti entry is never consulted.
+    Both hypothesis flags must be asserted true by the caller.  Everything
+    else is read off dim IH^k = b_{n+k} - b_{n-k}; the middle Betti entry is
+    never consulted.  The witnesses are the nonzero IH^k with k >= 2 when
+    there are any, else the nonzero IH^1.
     """
-    if not hypotheses.H_nonconstant or not hypotheses.abelian_scheme:
-        missing = [
-            name
-            for name, ok in [
-                ("H_nonconstant", hypotheses.H_nonconstant),
-                ("abelian_scheme", hypotheses.abelian_scheme),
-            ]
-            if not ok
+    missing = [
+        name
+        for name, ok in [
+            ("H_nonconstant", hypotheses.H_nonconstant),
+            ("abelian_scheme", hypotheses.abelian_scheme),
         ]
+        if not ok
+    ]
+    if missing:
         raise HypothesisError(
             "refusing to emit a verdict: the obstruction corollaries require "
             f"hypotheses asserted true, missing: {', '.join(missing)}"
         )
-    all_witnesses = _witnesses(b, 1)
-    weak_witnesses = tuple(w for w in all_witnesses if w.k > 1)
-    weakly = not weak_witnesses
-    pal = not all_witnesses
-    if not weakly:
-        outcome = Outcome.NO_FLAT_COMPACTIFICATION
-        evidence = weak_witnesses
-    elif not pal:
-        outcome = Outcome.NO_IRREDUCIBLE_FIBER_COMPACTIFICATION
-        evidence = all_witnesses
+    ih = ih_from_betti(b, True)
+    nonzero = [k for k in range(1, b.n + 1) if ih.dims[k]]
+    high = [k for k in nonzero if k >= 2]
+    if high:
+        outcome, evidence = Outcome.NO_FLAT_COMPACTIFICATION, high
+    elif nonzero:
+        outcome, evidence = Outcome.NO_IRREDUCIBLE_FIBER_COMPACTIFICATION, nonzero
     else:
-        outcome = Outcome.NO_OBSTRUCTION_FOUND
-        evidence = ()
-    return ObstructionVerdict(
-        weakly_palindromic=weakly,
-        palindromic=pal,
-        verdict=outcome,
-        evidence=evidence,
-        hypotheses=hypotheses,
-    )
-
-
-def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
-    """Verdict plus IH profile in the wire JSON schema."""
-    v = verdict(b, hypotheses)
-    ih = ih_from_betti(b, hypotheses.H_nonconstant)
+        outcome, evidence = Outcome.NO_OBSTRUCTION_FOUND, []
     return {
-        "verdict": v.verdict.value,
-        "weakly_palindromic": v.weakly_palindromic,
-        "palindromic": v.palindromic,
+        "verdict": outcome.value,
+        "weakly_palindromic": not high,
+        "palindromic": not nonzero,
         "ih_dims": ih.to_json(),
         "witnesses": [
-            {"k": w.k, "b_plus": w.b_plus, "b_minus": w.b_minus} for w in v.evidence
+            {"k": k, "b_plus": b.b(b.n + k), "b_minus": b.b(b.n - k)} for k in evidence
         ],
         "hypotheses": hypotheses.to_json_dict(),
-        "disclaimer": v.disclaimer,
+        "disclaimer": DISCLAIMER,
     }
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "ParseError",
     "PolyringError",
     "dehomogenize",
-    "monomial_degree",
     "monomial_div",
     "monomial_divides",
     "monomial_lcm",
@@ -49,10 +48,6 @@ class ParseError(PolyringError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -92,3 +92,45 @@ def brute_standard_monomials(lead_monomials, arity, max_degree):
             level.append(exps)
         out.extend(sorted(level, reverse=True))
     return out
+
+
+def is_palindromic(b):
+    """b_{n+k} == b_{n-k} for every k >= 1; the middle entry is not read."""
+    e, n = b.entries, b.n
+    return all(e[n + k] == e[n - k] for k in range(1, n + 1))
+
+
+def is_weakly_palindromic(b):
+    """b_{n+k} == b_{n-k} for every k >= 2."""
+    e, n = b.entries, b.n
+    return all(e[n + k] == e[n - k] for k in range(2, n + 1))
+
+
+def expected_verdict(b):
+    """The verdict fields a Betti vector fixes, by direct comparison of entries.
+
+    None when some b_{n+k} < b_{n-k}, which contradicts the hypotheses.
+    Otherwise the verdict, both palindromicity flags and the witnesses: the
+    failed comparisons with k >= 2 if there are any, else all failed ones.
+    """
+    e, n = b.entries, b.n
+    if any(e[n + k] < e[n - k] for k in range(1, n + 1)):
+        return None
+    failed = [
+        {"k": k, "b_plus": e[n + k], "b_minus": e[n - k]}
+        for k in range(1, n + 1)
+        if e[n + k] != e[n - k]
+    ]
+    if not is_weakly_palindromic(b):
+        name = "NO_FLAT_COMPACTIFICATION"
+        failed = [w for w in failed if w["k"] >= 2]
+    elif not is_palindromic(b):
+        name = "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION"
+    else:
+        name = "NO_OBSTRUCTION_FOUND"
+    return {
+        "verdict": name,
+        "weakly_palindromic": is_weakly_palindromic(b),
+        "palindromic": is_palindromic(b),
+        "witnesses": failed,
+    }

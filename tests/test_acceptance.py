@@ -33,17 +33,15 @@ from flatobs.obstruct import (
     BettiVector,
     Hypotheses,
     InputInconsistentError,
-    Outcome,
     corob_check,
     ih_from_betti,
-    is_palindromic,
-    is_weakly_palindromic,
-    verdict,
+    verdict_report,
 )
 from flatobs.polyring import parse_poly
 from flatobs.singular import extendability
 
 from corpus import ideal_corpus, segre_cubic
+from oracles import expected_verdict, is_palindromic, is_weakly_palindromic
 
 
 @contextmanager
@@ -93,6 +91,7 @@ def test_criterion_2_degenerate_quadric_pipeline():
         assert bv[6] == 2
         vector = BettiVector(3, tuple(bv))
         assert not is_weakly_palindromic(vector)
+        assert not verdict_report(vector, Hypotheses(True, True))["weakly_palindromic"]
         assert report["verdict"]["verdict"] == "NO_FLAT_COMPACTIFICATION"
 
 
@@ -139,37 +138,51 @@ def test_criterion_6_extendability():
 
 
 def test_criterion_7_obstruction_property_suite():
-    with criterion(7, 5.0, "1000 random Betti vectors: monotonicity, middle independence, IH sign, corob consistency"):
+    with criterion(7, 5.0, "1000 random Betti vectors: oracle agreement, monotonicity, middle independence, IH sign, corob consistency"):
         rng = random.Random(0xB1107)
         both = Hypotheses(H_nonconstant=True, abelian_scheme=True)
         n = 3
+
+        def checked_report(b):
+            """verdict_report of b, checked against the naive oracle; None if inconsistent."""
+            expected = expected_verdict(b)
+            if expected is None:
+                with pytest.raises(InputInconsistentError):
+                    verdict_report(b, both)
+                return None
+            report = verdict_report(b, both)
+            assert {key: report[key] for key in expected} == expected, b
+            return report
+
         for _ in range(1000):
             entries = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(2 * n)]
             b = BettiVector(n, tuple(entries))
+            report = checked_report(b)
 
             # middle-entry independence (fuzzed)
-            fuzzed = b.with_middle(rng.choice([None, rng.randint(0, 99)]))
-            assert is_palindromic(b) == is_palindromic(fuzzed)
-            assert is_weakly_palindromic(b) == is_weakly_palindromic(fuzzed)
-            assert verdict(b, both).verdict == verdict(fuzzed, both).verdict
+            fuzzed_entries = list(entries)
+            fuzzed_entries[n] = rng.choice([None, rng.randint(0, 99)])
+            assert checked_report(BettiVector(n, tuple(fuzzed_entries))) == report
 
             # IH nonnegativity or error, never clamped
             try:
                 ih = ih_from_betti(b, True)
             except InputInconsistentError:
                 ih = None
+            assert (ih is None) == (report is None)
             if ih is not None:
                 assert all(d >= 0 for d in ih.dims[1:])
                 assert all(
                     ih.dims[k] == b.b(n + k) - b.b(n - k) for k in range(1, n + 1)
                 )
 
-            # verdict monotonicity: adding a failing witness only strengthens
+            # verdict monotonicity: adding a failing witness gives the
+            # strongest verdict, whatever the verdict was before
             worse_entries = list(b.entries)
             worse_entries[n + 2] = worse_entries[n - 2] + 1 + rng.randint(0, 3)
-            worse = verdict(BettiVector(n, tuple(worse_entries)), both)
-            assert worse.verdict.strength >= verdict(b, both).verdict.strength
-            assert worse.verdict == Outcome.NO_FLAT_COMPACTIFICATION
+            worse = checked_report(BettiVector(n, tuple(worse_entries)))
+            if worse is not None:
+                assert worse["verdict"] == "NO_FLAT_COMPACTIFICATION"
 
             # corob_check consistency with the induced table
             if ih is not None:

@@ -15,11 +15,11 @@ from flatobs.bettisng import (
     quadric_analysis,
 )
 from flatobs.linalg import matrix_to_csv
-from flatobs.obstruct import UNKNOWN, BettiVector
+from flatobs.obstruct import UNKNOWN, BettiVector, Hypotheses, verdict_report
 from flatobs.polyring import MultiPoly, parse_poly
 from flatobs.singular import ProjectivePoint
 
-from oracles import brute_rank
+from oracles import brute_rank, is_weakly_palindromic
 
 
 def segre_nodes():
@@ -140,14 +140,15 @@ def test_even_dimension_rejected():
 
 
 def test_nodal_vector_weakly_palindromic_in_high_degrees():
-    from flatobs.obstruct import is_weakly_palindromic
-
     rng = random.Random(7)
     smooth = BettiVector(3, (1, 0, 1, 10, 1, 0, 1))
     for _ in range(20):
         mu = rng.randint(1, 10)
         vector = betti_vector_nodal(smooth, defect(segre_nodes()[:mu], 1))
         assert is_weakly_palindromic(vector)
+        report = verdict_report(vector, Hypotheses(H_nonconstant=True, abelian_scheme=True))
+        assert report["weakly_palindromic"]
+        assert report["verdict"] != "NO_FLAT_COMPACTIFICATION"
 
 
 # -- quadric analysis -------------------------------------------------------------

@@ -7,7 +7,6 @@ from flatobs.hodgeci import (
     euler_characteristic,
     griffiths_middle_hodge,
     hodge_diamond,
-    hodge_level,
     linear_system_dim,
     scan_level1,
 )
@@ -67,10 +66,10 @@ def test_cubic_fivefold():
 
 
 def test_off_middle_rule():
+    # off the middle row b_m is 1 in even and 0 in odd degree (h^{p,p} = 1)
     dia = hodge_diamond(md(4, 3))
-    assert dia.hodge_number(1, 1) == 1
-    assert dia.hodge_number(1, 2) == 0
-    assert dia.hodge_number(2, 2) == dia.middle[2]
+    assert [dia.betti(m) for m in (0, 1, 2, 3, 5, 6, 7, 8)] == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert dia.betti(4) == sum(dia.middle)
     assert dia.primitive_middle()[2] == dia.middle[2] - 1
 
 
@@ -114,20 +113,20 @@ def test_oracle_agreement_hypersurfaces():
 # -- levels ---------------------------------------------------------------
 
 def test_levels():
-    assert str(hodge_level(md(3, 2, 3))) == "1"
-    assert hodge_level(md(3, 2)).is_constant
-    assert hodge_level(md(3, 5)).value == 3
-    assert hodge_level(md(2, 3)).value == 0
-    assert hodge_level(md(4, 3)).value == 2
+    assert str(hodge_diamond(md(3, 2, 3)).level()) == "1"
+    assert hodge_diamond(md(3, 2)).level().is_constant
+    assert hodge_diamond(md(3, 5)).level().value == 3
+    assert hodge_diamond(md(2, 3)).level().value == 0
+    assert hodge_diamond(md(4, 3)).level().value == 2
 
 
 def test_quadric_intersections_level_pattern():
     # all-quadric families with odd n: level 1 exactly when k in {2, 3}
     for n in (3, 5):
-        assert hodge_level(md(n, 2)).is_constant
-        assert hodge_level(md(n, 2, 2)).value == 1
-        assert hodge_level(md(n, 2, 2, 2)).value == 1
-    assert hodge_level(md(3, 2, 2, 2, 2)).value == 3
+        assert hodge_diamond(md(n, 2)).level().is_constant
+        assert hodge_diamond(md(n, 2, 2)).level().value == 1
+        assert hodge_diamond(md(n, 2, 2, 2)).level().value == 1
+    assert hodge_diamond(md(3, 2, 2, 2, 2)).level().value == 3
 
 
 # -- scan -------------------------------------------------------------------

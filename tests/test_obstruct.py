@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +10,13 @@ from flatobs.obstruct import (
     Hypotheses,
     InputInconsistentError,
     ObstructError,
-    Outcome,
     corob_check,
     ih_from_betti,
-    is_palindromic,
-    is_weakly_palindromic,
-    verdict,
     verdict_report,
 )
 from flatobs.obstruct import HypothesisError
+
+from oracles import expected_verdict, is_palindromic, is_weakly_palindromic
 
 BOTH = Hypotheses(H_nonconstant=True, abelian_scheme=True)
 
@@ -75,44 +75,67 @@ def test_nonconstancy_hypothesis_required():
 def test_palindromic_vector():
     b = BettiVector(3, (1, 0, 1, 10, 1, 0, 1))
     assert is_palindromic(b) and is_weakly_palindromic(b)
+    report = verdict_report(b, BOTH)
+    assert report["palindromic"] and report["weakly_palindromic"]
 
 
 def test_segre_weakly_but_not_palindromic():
     assert is_weakly_palindromic(SEGRE)
     assert not is_palindromic(SEGRE)
+    report = verdict_report(SEGRE, BOTH)
+    assert report["weakly_palindromic"] and not report["palindromic"]
 
 
 def test_two_component_not_weakly():
     assert not is_weakly_palindromic(TWO_COMPONENT)
+    assert not verdict_report(TWO_COMPONENT, BOTH)["weakly_palindromic"]
 
 
 # -- verdicts -----------------------------------------------------------------
 
+def assert_matches_oracle(b):
+    """verdict_report agrees with the naive comparison of Betti entries."""
+    expected = expected_verdict(b)
+    if expected is None:
+        with pytest.raises(InputInconsistentError):
+            verdict_report(b, BOTH)
+        return None
+    report = verdict_report(b, BOTH)
+    assert {key: report[key] for key in expected} == expected, b
+    assert report["ih_dims"] == [None] + [
+        b.b(b.n + k) - b.b(b.n - k) for k in range(1, b.n + 1)
+    ]
+    return report
+
+
 def test_segre_verdict():
-    v = verdict(SEGRE, BOTH)
-    assert v.verdict == Outcome.NO_IRREDUCIBLE_FIBER_COMPACTIFICATION
-    assert v.weakly_palindromic and not v.palindromic
-    assert v.evidence == ((1, 6, 1),)
+    report = assert_matches_oracle(SEGRE)
+    assert report["verdict"] == "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION"
+    assert report["witnesses"] == [{"k": 1, "b_plus": 6, "b_minus": 1}]
 
 
 def test_two_component_verdict():
-    v = verdict(TWO_COMPONENT, BOTH)
-    assert v.verdict == Outcome.NO_FLAT_COMPACTIFICATION
-    assert (3, 2, 1) in v.evidence
+    report = assert_matches_oracle(TWO_COMPONENT)
+    assert report["verdict"] == "NO_FLAT_COMPACTIFICATION"
+    assert {"k": 3, "b_plus": 2, "b_minus": 1} in report["witnesses"]
 
 
 def test_palindromic_verdict():
-    v = verdict(SMOOTH_23, BOTH)
-    assert v.verdict == Outcome.NO_OBSTRUCTION_FOUND
-    assert v.evidence == ()
-    assert "does not assert" in v.disclaimer
+    report = assert_matches_oracle(SMOOTH_23)
+    assert report["verdict"] == "NO_OBSTRUCTION_FOUND"
+    assert report["witnesses"] == []
+    assert "does not assert" in report["disclaimer"]
 
 
 def test_verdict_refuses_unasserted_hypotheses():
-    with pytest.raises(HypothesisError, match="abelian_scheme"):
-        verdict(SEGRE, Hypotheses(H_nonconstant=True, abelian_scheme=False))
-    with pytest.raises(HypothesisError, match="H_nonconstant"):
-        verdict(SEGRE, Hypotheses(H_nonconstant=False, abelian_scheme=True))
+    with pytest.raises(HypothesisError, match="missing: abelian_scheme$"):
+        verdict_report(SEGRE, Hypotheses(H_nonconstant=True, abelian_scheme=False))
+    with pytest.raises(HypothesisError, match="missing: H_nonconstant$"):
+        verdict_report(SEGRE, Hypotheses(H_nonconstant=False, abelian_scheme=True))
+    # the hypotheses are checked before the Betti data
+    inconsistent = BettiVector(3, (2, 0, 1, UNKNOWN, 1, 0, 1))
+    with pytest.raises(HypothesisError, match="missing: H_nonconstant, abelian_scheme$"):
+        verdict_report(inconsistent, Hypotheses(H_nonconstant=False, abelian_scheme=False))
 
 
 def test_verdict_report_schema():
@@ -129,6 +152,25 @@ def test_verdict_report_schema():
     assert report["verdict"] == "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION"
     assert report["ih_dims"] == [None, 5, 0, 0]
     assert report["witnesses"] == [{"k": 1, "b_plus": 6, "b_minus": 1}]
+
+
+def test_verdict_report_exhaustive_small_vectors():
+    # every Betti vector with n <= 3 and entries in 0..2 (b_0 >= 1)
+    count = 0
+    for n in (1, 2, 3):
+        for entries in product(range(3), repeat=2 * n + 1):
+            if entries[0] < 1:
+                continue
+            b = BettiVector(n, entries)
+            assert_matches_oracle(b)
+            for hypotheses in (
+                Hypotheses(H_nonconstant=True, abelian_scheme=False),
+                Hypotheses(H_nonconstant=False, abelian_scheme=True),
+            ):
+                with pytest.raises(HypothesisError):
+                    verdict_report(b, hypotheses)
+            count += 1
+    assert count == 2 * (3**2 + 3**4 + 3**6)
 
 
 # -- corob_check ------------------------------------------------------------
@@ -187,30 +229,31 @@ def betti_vectors(n=3):
     )
 
 
+def with_middle(b, value):
+    entries = list(b.entries)
+    entries[b.n] = value
+    return BettiVector(b.n, tuple(entries))
+
+
 @given(betti_vectors(), st.one_of(st.none(), st.integers(0, 99)))
 @settings(max_examples=150, deadline=None)
 def test_middle_entry_never_consulted(b, fuzzed_middle):
-    fuzzed = b.with_middle(fuzzed_middle)
-    assert is_palindromic(b) == is_palindromic(fuzzed)
-    assert is_weakly_palindromic(b) == is_weakly_palindromic(fuzzed)
-    try:
-        v1 = verdict(b, BOTH)
-        v2 = verdict(fuzzed, BOTH)
-        assert v1.verdict == v2.verdict and v1.evidence == v2.evidence
-    except InputInconsistentError:
-        pass
+    fuzzed = with_middle(b, fuzzed_middle)
+    report = assert_matches_oracle(b)
+    assert assert_matches_oracle(fuzzed) == report
 
 
 @given(betti_vectors())
 @settings(max_examples=150, deadline=None)
 def test_verdict_monotone_in_evidence(b):
-    v = verdict(b, BOTH)
-    # strengthen the evidence: add a fresh k=2 mismatch
+    assert_matches_oracle(b)
+    # strengthen the evidence: add a fresh k=2 mismatch; the verdict becomes
+    # the strongest one whatever it was before
     entries = list(b.entries)
     entries[b.n + 2] = entries[b.n - 2] + 1
-    worse = verdict(BettiVector(b.n, tuple(entries)), BOTH)
-    assert worse.verdict.strength >= v.verdict.strength
-    assert worse.verdict == Outcome.NO_FLAT_COMPACTIFICATION
+    worse = assert_matches_oracle(BettiVector(b.n, tuple(entries)))
+    if worse is not None:
+        assert worse["verdict"] == "NO_FLAT_COMPACTIFICATION"
 
 
 @given(betti_vectors())
