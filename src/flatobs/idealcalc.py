@@ -6,6 +6,12 @@ dimensions), and Krull dimension of projective zero sets via the leading-term
 ideal.  Intended scale is small ideals (a handful of variables, low degree);
 no F4/F5.
 
+Buchberger's algorithm takes pairs by lcm degree and prunes them with the
+Gebauer–Möller update (criteria B, M and F plus coprime leads).  Every
+reduction in one call goes through one divisor memo per reducer list, which
+records each monomial's first divisor in list order; the memo changes no
+normal form, only how fast the divisor is found.
+
 One Buchberger kernel serves two coefficient fields.  By default it works
 over Q with exact `Fraction` coefficients.  With `modulus=p` (a prime) it
 reduces the generators modulo p and works over F_p with `int` coefficients
@@ -152,8 +158,8 @@ class _Kernel:
                 del out[t]
         return out
 
-    def reduce(self, terms: dict, reducers) -> dict:
-        """Full normal form of `terms` against monic (lead, tail items) reducers.
+    def reduce(self, terms: dict, reducers: _Reducers) -> dict:
+        """Full normal form of `terms`, each step by the first reducer that divides.
 
         Pending monomials sit in a heap; a monomial cancelled to zero leaves a
         stale entry that is skipped when popped.  Reduction only adds terms
@@ -164,6 +170,9 @@ class _Kernel:
         heap_key = self._heap_key
         heappush = heapq.heappush
         heappop = heapq.heappop
+        leads = reducers.leads
+        tails = reducers.tails
+        memo = reducers.memo
         work = dict(terms)
         heap = [(self.key(m), m) for m in work]
         heapq.heapify(heap)
@@ -173,42 +182,59 @@ class _Kernel:
             c = work.pop(m, None)
             if c is None:
                 continue
-            for lm, tail in reducers:
-                if monomial_divides(lm, m):
-                    shift = monomial_div(m, lm)
-                    for gm, gc in tail:
-                        t = monomial_mul(gm, shift)
-                        old = work.get(t)
-                        if old is None:
-                            work[t] = -c * gc if p is None else -c * gc % p
-                            k = keys.get(t)
-                            if k is None:
-                                k = keys[t] = heap_key(t)
-                            heappush(heap, (k, t))
-                            continue
-                        v = old - c * gc if p is None else (old - c * gc) % p
-                        if v:
-                            work[t] = v
-                        else:
-                            del work[t]
-                    break
-            else:
-                remainder[m] = c
+            i = memo.get(m, -1)
+            if i < 0:
+                # a miss among the first ~i reducers: check only the later ones
+                n = len(leads)
+                for k in range(~i, n):
+                    if monomial_divides(leads[k], m):
+                        i = k
+                        break
+                else:
+                    i = ~n
+                memo[m] = i
+                if i < 0:
+                    remainder[m] = c
+                    continue
+            shift = monomial_div(m, leads[i])
+            for gm, gc in tails[i]:
+                t = monomial_mul(gm, shift)
+                old = work.get(t)
+                if old is None:
+                    work[t] = -c * gc if p is None else -c * gc % p
+                    k = keys.get(t)
+                    if k is None:
+                        k = keys[t] = heap_key(t)
+                    heappush(heap, (k, t))
+                    continue
+                v = old - c * gc if p is None else (old - c * gc) % p
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
         return remainder
 
 
-def _reducer(terms: dict, lm: Monomial) -> tuple:
-    """(lead, tail items) of a monic dict: the reducer form `reduce` takes."""
-    return lm, [(m, c) for m, c in terms.items() if m != lm]
+class _Reducers:
+    """Monic reducers in list order, with a memo of first divisors.
 
+    Reducer i is `leads[i]` with the tail items `tails[i]`.  The memo maps a
+    monomial to the index of the first reducer whose lead divides it, or to
+    ~k when none of the first k reducers does.  Reducers are only appended,
+    so a hit stays the first divisor and a miss is re-checked only against
+    the reducers appended after it.  The memo lives as long as the list.
+    """
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    if f.is_zero or g.is_zero:
-        raise IdealError("zero polynomial has no leading monomial")
-    kernel = _Kernel(order, None)
-    mf, lf = kernel.monic(dict(f.terms))
-    mg, lg = kernel.monic(dict(g.terms))
-    return MultiPoly(f.arity, kernel.s_polynomial(mf, lf, mg, lg))
+    __slots__ = ("leads", "tails", "memo")
+
+    def __init__(self):
+        self.leads: list = []
+        self.tails: list = []
+        self.memo: dict = {}
+
+    def append(self, terms: dict, lm: Monomial) -> None:
+        self.leads.append(lm)
+        self.tails.append([(m, c) for m, c in terms.items() if m != lm])
 
 
 @dataclass(frozen=True)
@@ -243,9 +269,11 @@ def buchberger(
     """Reduced Gröbner basis of the ideal generated by `gens`.
 
     Over Q by default; with a prime `modulus` p, over F_p after reducing the
-    generators mod p (p must divide no coefficient denominator).  Uses a
-    degree-sorted pair queue with both classical pair-skipping criteria
-    (coprime leading terms, chain).
+    generators mod p (p must divide no coefficient denominator).  Pairs wait
+    in a queue sorted by lcm degree and are pruned by the Gebauer–Möller
+    update (`_update`).  Every S-polynomial is reduced against the whole
+    basis so far, in list order, through one divisor memo per call
+    (`_Reducers`).
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -259,6 +287,7 @@ def buchberger(
     kernel = _Kernel(order, modulus)
     basis: list = []
     leads: list = []
+    reducers = _Reducers()
     for g in gens:
         terms = kernel.coerce(g.terms)
         if not terms:
@@ -267,57 +296,65 @@ def buchberger(
         if terms not in basis:
             basis.append(terms)
             leads.append(lm)
+            reducers.append(terms, lm)
     if not basis:
         raise IdealError(f"every generator vanishes modulo {modulus}")
-    reducers = [_reducer(g, lm) for g, lm in zip(basis, leads)]
 
-    pending = set()
+    active: list = []
     queue: list = []
-    for i in range(len(basis)):
-        for j in range(i):
-            pair = (j, i)
-            pending.add(pair)
-            heapq.heappush(queue, (sum(monomial_lcm(leads[j], leads[i])), pair))
-
+    for t in range(len(basis)):
+        active = _update(leads, active, queue, t)
     while queue:
-        _, pair = heapq.heappop(queue)
-        if pair not in pending:
-            continue
-        pending.discard(pair)
-        i, j = pair
-        li, lj = leads[i], leads[j]
-        l = monomial_lcm(li, lj)
-        # coprime leading terms: S-polynomial reduces to zero
-        if l == monomial_mul(li, lj):
-            continue
-        # chain criterion: some k divides the lcm and both cross pairs are done
-        skip = False
-        for k in range(len(basis)):
-            if k in pair or not monomial_divides(leads[k], l):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s = kernel.s_polynomial(basis[i], li, basis[j], lj)
+        _, i, j, _ = heapq.heappop(queue)
+        s = kernel.s_polynomial(basis[i], leads[i], basis[j], leads[j])
         r = kernel.reduce(s, reducers)
         if not r:
             continue
         r, lr = kernel.monic(r)
         basis.append(r)
         leads.append(lr)
-        reducers.append(_reducer(r, lr))
-        t = len(basis) - 1
-        for k in range(t):
-            pair = (k, t)
-            pending.add(pair)
-            heapq.heappush(queue, (sum(monomial_lcm(leads[k], leads[t])), pair))
+        reducers.append(r, lr)
+        active = _update(leads, active, queue, len(basis) - 1)
 
     reduced = _autoreduce(kernel, basis, leads)
     return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), order, modulus)
+
+
+def _update(leads: list, active: list, queue: list, t: int) -> list:
+    """Gebauer–Möller update for the new basis element t; returns the active set.
+
+    `queue` is a heap of (lcm degree, i, j, lcm) with i < j, changed in place.
+    A new pair (k, t) with k active is dropped when its lcm is a multiple of
+    the lcm of another new pair still undecided or kept (criteria M and F:
+    of equal lcms one survives).  Kept pairs with coprime leads are dropped
+    after that, as their S-polynomials reduce to zero.  An old pair (i, j)
+    is dropped when lead t divides its lcm l and lcm(i, t) != l != lcm(j, t)
+    (criterion B).  Active elements whose lead is a multiple of lead t leave
+    the active set; their queued pairs stay.  Gebauer and Möller, J. Symb.
+    Comp. 6 (1988); Becker and Weispfenning, Gröbner Bases (1993), UPDATE.
+    """
+    h = leads[t]
+    new = [(k, monomial_lcm(leads[k], h)) for k in active]
+    kept = []
+    for n, (k, l) in enumerate(new):
+        coprime = l == monomial_mul(leads[k], h)
+        if coprime or not (
+            any(monomial_divides(other, l) for _, other in new[n + 1 :])
+            or any(monomial_divides(other, l) for _, other, _ in kept)
+        ):
+            kept.append((k, l, coprime))
+    queue[:] = [
+        entry
+        for entry in queue
+        if not monomial_divides(h, entry[3])
+        or monomial_lcm(leads[entry[1]], h) == entry[3]
+        or monomial_lcm(leads[entry[2]], h) == entry[3]
+    ]
+    heapq.heapify(queue)
+    for k, l, coprime in kept:
+        if not coprime:
+            heapq.heappush(queue, (sum(l), k, t, l))
+    return [k for k in active if not monomial_divides(h, leads[k])] + [t]
 
 
 def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
@@ -333,13 +370,13 @@ def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
     # Leads are now fixed and a tail term can only be divisible by a smaller
     # lead, so one ascending pass against the already reduced generators
     # leaves no term of any tail divisible by any lead.
-    reducers = []
+    reducers = _Reducers()
     out = []
     for lm, g in minimal:
-        tail = {m: c for m, c in g.items() if m != lm}
-        tail = kernel.reduce(tail, reducers)
-        reducers.append((lm, list(tail.items())))
-        out.append({lm: g[lm], **tail})
+        tail = kernel.reduce({m: c for m, c in g.items() if m != lm}, reducers)
+        g = {lm: g[lm], **tail}
+        reducers.append(g, lm)
+        out.append(g)
     out.reverse()
     return out
 
@@ -352,10 +389,10 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     if p.arity != gb.arity:
         raise IdealError(f"arity mismatch: {p.arity} vs {gb.arity}")
     kernel = _Kernel(gb.order, gb.modulus)
-    reducers = []
+    reducers = _Reducers()
     for g in gb.generators:
         terms = kernel.coerce(g.terms)
-        reducers.append(_reducer(terms, kernel.lead(terms)))
+        reducers.append(terms, kernel.lead(terms))
     return MultiPoly(p.arity, kernel.reduce(kernel.coerce(p.terms), reducers))
 
 

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-package: multinomial expansion by enumeration, rank by plain fraction
-Gaussian elimination, monomial counting by direct iteration.
+package beyond `MultiPoly` arithmetic: multinomial expansion by enumeration,
+rank by plain fraction Gaussian elimination, monomial counting by direct
+iteration, Gröbner bases by Buchberger's algorithm with every pair reduced.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
+
+from flatobs.polyring import MultiPoly
 
 
 def expand_linear_power(coeffs, power):
@@ -134,3 +137,100 @@ def expected_verdict(b):
         "palindromic": is_palindromic(b),
         "witnesses": failed,
     }
+
+
+# -- Gröbner bases by plain Buchberger ---------------------------------------
+#
+# Polynomials are `MultiPoly`s; over F_p their coefficients are the integers
+# in [0, p).  Orders are named by `MonomialOrder.value`; a larger sort key is
+# a larger monomial.
+
+_ORDER_KEYS = {
+    "grevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
+    "lex": tuple,
+}
+
+
+def _in_field(p, modulus):
+    if modulus is None:
+        return p
+    return MultiPoly(
+        p.arity,
+        {m: c.numerator * pow(c.denominator, -1, modulus) % modulus for m, c in p.terms.items()},
+    )
+
+
+def _divide(a, b, modulus):
+    return a / b if modulus is None else a * pow(int(b), -1, modulus) % modulus
+
+
+def _lead(p, order):
+    return max(p.terms, key=_ORDER_KEYS[order.value])
+
+
+def _term(arity, mono, coeff):
+    return MultiPoly(arity, {mono: coeff})
+
+
+def _monic(p, order, modulus):
+    return _in_field(p * _divide(1, p.terms[_lead(p, order)], modulus), modulus)
+
+
+def naive_s_polynomial(f, g, order, modulus=None):
+    """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the leading monomials."""
+    lf, lg = _lead(f, order), _lead(g, order)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    sf = _term(f.arity, tuple(a - b for a, b in zip(lcm, lf)), _divide(1, f.terms[lf], modulus))
+    sg = _term(g.arity, tuple(a - b for a, b in zip(lcm, lg)), _divide(1, g.terms[lg], modulus))
+    return _in_field(sf * f - sg * g, modulus)
+
+
+def naive_normal_form(f, divisors, order, modulus=None):
+    """Remainder of f by the division algorithm: the largest term first, each
+    step by the first divisor in list order whose leading monomial divides it."""
+    remainder = MultiPoly.zero(f.arity)
+    f = _in_field(f, modulus)
+    while not f.is_zero:
+        m = _lead(f, order)
+        top = _term(f.arity, m, f.terms[m])
+        for g in divisors:
+            lg = _lead(g, order)
+            if all(a <= b for a, b in zip(lg, m)):
+                q = tuple(a - b for a, b in zip(m, lg))
+                f = _in_field(f - _term(f.arity, q, _divide(f.terms[m], g.terms[lg], modulus)) * g, modulus)
+                break
+        else:
+            remainder = remainder + top
+            f = f - top
+    return remainder
+
+
+def naive_groebner(gens, order, modulus=None):
+    """Reduced Gröbner basis, largest leading monomial first.
+
+    Buchberger's algorithm with no pair criteria: every pair of the growing
+    list is reduced, and a nonzero remainder joins the list.  The result is
+    then minimalized and each tail replaced by its normal form.  Empty when
+    every generator vanishes (mod p).
+    """
+    key = _ORDER_KEYS[order.value]
+    reduced_gens = [_in_field(g, modulus) for g in gens]
+    basis = [_monic(g, order, modulus) for g in reduced_gens if not g.is_zero]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        s = naive_s_polynomial(basis[i], basis[j], order, modulus)
+        r = naive_normal_form(s, basis, order, modulus)
+        if not r.is_zero:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(_monic(r, order, modulus))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(_lead(g, order))):
+        lg = _lead(g, order)
+        if not any(all(a <= b for a, b in zip(_lead(h, order), lg)) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for g in minimal:
+        top = _term(g.arity, _lead(g, order), 1)
+        reduced.append(top + naive_normal_form(g - top, minimal, order, modulus))
+    return sorted(reduced, key=lambda g: key(_lead(g, order)), reverse=True)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 
