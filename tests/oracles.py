@@ -197,7 +197,8 @@ def naive_normal_form(f, divisors, order, modulus=None):
             lg = _lead(g, order)
             if all(a <= b for a, b in zip(lg, m)):
                 q = tuple(a - b for a, b in zip(m, lg))
-                f = _in_field(f - _term(f.arity, q, _divide(f.terms[m], g.terms[lg], modulus)) * g, modulus)
+                step = _term(f.arity, q, _divide(f.terms[m], g.terms[lg], modulus))
+                f = _in_field(f - step * g, modulus)
                 break
         else:
             remainder = remainder + top
