@@ -1,10 +1,11 @@
 """Gröbner bases (Buchberger) and staircase queries over Q or F_p.
 
 Supplies the commutative-algebra engine behind the singularity certificates:
-reduced bases, normal forms, standard-monomial enumeration (Artinian quotient
-dimensions), and Krull dimension of projective zero sets via the leading-term
-ideal.  Intended scale is small ideals (a handful of variables, low degree);
-no F4/F5.
+reduced bases, standard-monomial enumeration (Artinian quotient dimensions),
+and Krull dimension of projective zero sets via the leading-term ideal.
+Every basis is taken in one monomial order, graded reverse lexicographic
+(grevlex).  Intended scale is small ideals (a handful of variables, low
+degree); no F4/F5.
 
 Buchberger's algorithm takes pairs by lcm degree and prunes them with the
 Gebauer–Möller update (criteria B, M and F plus coprime leads).  Every
@@ -25,7 +26,6 @@ extendability certificate in `singular` does so with p = 2^31 - 1.
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
@@ -43,10 +43,8 @@ from .polyring import (
 __all__ = [
     "GroebnerBasis",
     "IdealError",
-    "MonomialOrder",
     "buchberger",
     "leading_monomial",
-    "normal_form",
     "projective_dimension",
     "standard_monomials",
 ]
@@ -56,37 +54,24 @@ class IdealError(ToolError):
     code = "idealcalc.invalid"
 
 
-class MonomialOrder(enum.Enum):
-    """Global monomial orders; GREVLEX is the default everywhere."""
+def _heap_key(m: Monomial) -> tuple:
+    """Grevlex as a heap key: m1 > m2 iff key(m1) < key(m2).
 
-    GREVLEX = "grevlex"
-    LEX = "lex"
-
-
-# The heap keys define the orders: m1 > m2 iff key(m1) < key(m2), so the
-# largest monomial is the minimum under the key.
-
-def _lex_heap_key(m: Monomial) -> tuple:
-    return tuple([-e for e in m])
-
-
-def _grevlex_heap_key(m: Monomial) -> tuple:
-    # graded; on a tie the monomial with the smaller exponent at the last
-    # differing position is the larger
+    Graded; on a tie the monomial with the smaller exponent at the last
+    differing position is the larger.  The largest monomial is the minimum
+    under the key.
+    """
     return (-sum(m), *m[::-1])
 
 
-_HEAP_KEYS = {MonomialOrder.LEX: _lex_heap_key, MonomialOrder.GREVLEX: _grevlex_heap_key}
-
-
-def leading_monomial(p: MultiPoly, order: MonomialOrder) -> Monomial:
+def leading_monomial(p: MultiPoly) -> Monomial:
     if p.is_zero:
         raise IdealError("zero polynomial has no leading monomial")
-    return min(p.terms, key=_HEAP_KEYS[order])
+    return min(p.terms, key=_heap_key)
 
 
 class _Kernel:
-    """State of one call: the field, the order and a cache of heap keys.
+    """State of one call: the field and a cache of heap keys.
 
     Polynomials are plain {monomial: coefficient} dicts.  A monomial's heap
     key is smaller exactly when the monomial is larger in the order, so
@@ -94,15 +79,14 @@ class _Kernel:
     only as long as the call.
     """
 
-    def __init__(self, order: MonomialOrder, modulus):
+    def __init__(self, modulus):
         self.p = modulus
         self.keys: dict = {}
-        self._heap_key = _HEAP_KEYS[order]
 
     def key(self, m: Monomial) -> tuple:
         k = self.keys.get(m)
         if k is None:
-            k = self.keys[m] = self._heap_key(m)
+            k = self.keys[m] = _heap_key(m)
         return k
 
     def lead(self, terms: dict) -> Monomial:
@@ -167,7 +151,7 @@ class _Kernel:
         """
         p = self.p
         keys = self.keys
-        heap_key = self._heap_key
+        heap_key = _heap_key
         heappush = heapq.heappush
         heappop = heapq.heappop
         leads = reducers.leads
@@ -246,7 +230,6 @@ class GroebnerBasis:
     """
 
     generators: tuple
-    order: MonomialOrder
     modulus: int | None = None
 
     @property
@@ -254,7 +237,7 @@ class GroebnerBasis:
         return self.generators[0].arity
 
     def leading_monomials(self) -> list:
-        return [leading_monomial(g, self.order) for g in self.generators]
+        return [leading_monomial(g) for g in self.generators]
 
     def __iter__(self):
         return iter(self.generators)
@@ -263,10 +246,8 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def buchberger(
-    gens, order: MonomialOrder = MonomialOrder.GREVLEX, modulus: int | None = None
-) -> GroebnerBasis:
-    """Reduced Gröbner basis of the ideal generated by `gens`.
+def buchberger(gens, modulus: int | None = None) -> GroebnerBasis:
+    """Reduced grevlex Gröbner basis of the ideal generated by `gens`.
 
     Over Q by default; with a prime `modulus` p, over F_p after reducing the
     generators mod p (p must divide no coefficient denominator).  Pairs wait
@@ -284,7 +265,7 @@ def buchberger(
     if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
         raise IdealError(f"modulus must be a prime, got {modulus!r}")
 
-    kernel = _Kernel(order, modulus)
+    kernel = _Kernel(modulus)
     basis: list = []
     leads: list = []
     reducers = _Reducers()
@@ -317,7 +298,7 @@ def buchberger(
         active = _update(leads, active, queue, len(basis) - 1)
 
     reduced = _autoreduce(kernel, basis, leads)
-    return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), order, modulus)
+    return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), modulus)
 
 
 def _update(leads: list, active: list, queue: list, t: int) -> list:
@@ -381,46 +362,23 @@ def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
     return out
 
 
-def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
-    """Unique remainder of p modulo the ideal: no term divisible by a lead.
+def standard_monomials(gb: GroebnerBasis) -> list:
+    """Monomials under the staircase, by degree: a basis of the quotient.
 
-    For a basis mod a prime, p is reduced mod that prime first.
-    """
-    if p.arity != gb.arity:
-        raise IdealError(f"arity mismatch: {p.arity} vs {gb.arity}")
-    kernel = _Kernel(gb.order, gb.modulus)
-    reducers = _Reducers()
-    for g in gb.generators:
-        terms = kernel.coerce(g.terms)
-        reducers.append(terms, kernel.lead(terms))
-    return MultiPoly(p.arity, kernel.reduce(kernel.coerce(p.terms), reducers))
-
-
-def standard_monomials(gb: GroebnerBasis, cap=None) -> list:
-    """Monomials under the staircase, by degree (quotient basis when finite).
-
-    Without `cap` the staircase must be finite (Artinian quotient); the list
-    length is then the quotient's vector-space dimension.  With `cap`, all
-    standard monomials of degree <= cap are returned.
+    The staircase must be finite (an Artinian quotient), or IdealError is
+    raised; the list length is then the quotient's vector-space dimension.
     """
     leads = gb.leading_monomials()
     arity = gb.arity
     if any(sum(lm) == 0 for lm in leads):
         return []  # unit ideal
-    if cap is None:
-        finite = all(
-            any(lm[i] and sum(lm) == lm[i] for lm in leads) for i in range(arity)
-        )
-        if not finite:
-            raise IdealError("staircase is infinite; supply a degree cap")
+    finite = all(any(lm[i] and sum(lm) == lm[i] for lm in leads) for i in range(arity))
+    if not finite:
+        raise IdealError("staircase is infinite: the quotient is not Artinian")
     out = []
     level = [(0,) * arity]
-    degree = 0
-    while level and (cap is None or degree <= cap):
+    while level:
         out.extend(level)
-        degree += 1
-        if cap is not None and degree > cap:
-            break
         nxt = set()
         for m in level:
             for i in range(arity):

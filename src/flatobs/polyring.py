@@ -129,13 +129,6 @@ class MultiPoly:
     def constant(cls, arity: int, value: Scalar) -> "MultiPoly":
         return cls(arity, {(0,) * arity: value})
 
-    @classmethod
-    def variable(cls, arity: int, index: int) -> "MultiPoly":
-        if not 0 <= index < arity:
-            raise PolyringError(f"variable index {index} out of range for arity {arity}")
-        mono = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {mono: 1})
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -239,19 +232,6 @@ class MultiPoly:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise PolyringError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = MultiPoly.constant(self.arity, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def partial_derivative(self, index: int) -> "MultiPoly":
         if not 0 <= index < self.arity:

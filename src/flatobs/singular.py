@@ -97,6 +97,10 @@ class SingularityReport:
     `complete` certifies that the listed nodes account for the entire
     Jacobian scheme (each with local multiplicity 1); `chart_degrees` are the
     per-chart Artinian quotient degrees backing that certificate.
+    `jacobian_quotient_degree` is the length of the Jacobian scheme, known
+    only when `complete` (it is then the node count) and None otherwise: a
+    chart degree misses the points on that chart's hyperplane at infinity,
+    so with unlisted points it only bounds the length from below.
     """
 
     locus_dimension: int
@@ -215,14 +219,12 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
 
     nodes = [pt for pt, cls in classified if cls == NODE]
     visible = [sum(1 for pt in nodes if pt.coordinates[c]) for c in range(arity)]
-    at_infinity = [len(nodes) - v for v in visible]
-    degree = min(d + extra for d, extra in zip(chart_degrees, at_infinity))
     complete = all(cls == NODE for _, cls in classified) and all(
         d == v for d, v in zip(chart_degrees, visible)
     )
     return SingularityReport(
         locus_dimension=locus,
-        jacobian_quotient_degree=degree,
+        jacobian_quotient_degree=len(nodes) if complete else None,
         points=tuple(classified),
         complete=complete,
         chart_degrees=tuple(chart_degrees),

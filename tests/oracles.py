@@ -142,13 +142,11 @@ def expected_verdict(b):
 # -- Gröbner bases by plain Buchberger ---------------------------------------
 #
 # Polynomials are `MultiPoly`s; over F_p their coefficients are the integers
-# in [0, p).  Orders are named by `MonomialOrder.value`; a larger sort key is
-# a larger monomial.
+# in [0, p).  The order is grevlex: a larger sort key is a larger monomial.
 
-_ORDER_KEYS = {
-    "grevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
-    "lex": tuple,
-}
+
+def _grevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def _in_field(p, modulus):
@@ -164,37 +162,37 @@ def _divide(a, b, modulus):
     return a / b if modulus is None else a * pow(int(b), -1, modulus) % modulus
 
 
-def _lead(p, order):
-    return max(p.terms, key=_ORDER_KEYS[order.value])
+def _lead(p):
+    return max(p.terms, key=_grevlex_key)
 
 
 def _term(arity, mono, coeff):
     return MultiPoly(arity, {mono: coeff})
 
 
-def _monic(p, order, modulus):
-    return _in_field(p * _divide(1, p.terms[_lead(p, order)], modulus), modulus)
+def _monic(p, modulus):
+    return _in_field(p * _divide(1, p.terms[_lead(p)], modulus), modulus)
 
 
-def naive_s_polynomial(f, g, order, modulus=None):
+def naive_s_polynomial(f, g, modulus=None):
     """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the leading monomials."""
-    lf, lg = _lead(f, order), _lead(g, order)
+    lf, lg = _lead(f), _lead(g)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     sf = _term(f.arity, tuple(a - b for a, b in zip(lcm, lf)), _divide(1, f.terms[lf], modulus))
     sg = _term(g.arity, tuple(a - b for a, b in zip(lcm, lg)), _divide(1, g.terms[lg], modulus))
     return _in_field(sf * f - sg * g, modulus)
 
 
-def naive_normal_form(f, divisors, order, modulus=None):
+def naive_normal_form(f, divisors, modulus=None):
     """Remainder of f by the division algorithm: the largest term first, each
     step by the first divisor in list order whose leading monomial divides it."""
     remainder = MultiPoly.zero(f.arity)
     f = _in_field(f, modulus)
     while not f.is_zero:
-        m = _lead(f, order)
+        m = _lead(f)
         top = _term(f.arity, m, f.terms[m])
         for g in divisors:
-            lg = _lead(g, order)
+            lg = _lead(g)
             if all(a <= b for a, b in zip(lg, m)):
                 q = tuple(a - b for a, b in zip(m, lg))
                 step = _term(f.arity, q, _divide(f.terms[m], g.terms[lg], modulus))
@@ -206,7 +204,7 @@ def naive_normal_form(f, divisors, order, modulus=None):
     return remainder
 
 
-def naive_groebner(gens, order, modulus=None):
+def naive_groebner(gens, modulus=None):
     """Reduced Gröbner basis, largest leading monomial first.
 
     Buchberger's algorithm with no pair criteria: every pair of the growing
@@ -214,24 +212,39 @@ def naive_groebner(gens, order, modulus=None):
     then minimalized and each tail replaced by its normal form.  Empty when
     every generator vanishes (mod p).
     """
-    key = _ORDER_KEYS[order.value]
     reduced_gens = [_in_field(g, modulus) for g in gens]
-    basis = [_monic(g, order, modulus) for g in reduced_gens if not g.is_zero]
+    basis = [_monic(g, modulus) for g in reduced_gens if not g.is_zero]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        s = naive_s_polynomial(basis[i], basis[j], order, modulus)
-        r = naive_normal_form(s, basis, order, modulus)
+        s = naive_s_polynomial(basis[i], basis[j], modulus)
+        r = naive_normal_form(s, basis, modulus)
         if not r.is_zero:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(_monic(r, order, modulus))
+            basis.append(_monic(r, modulus))
     minimal = []
-    for g in sorted(basis, key=lambda g: key(_lead(g, order))):
-        lg = _lead(g, order)
-        if not any(all(a <= b for a, b in zip(_lead(h, order), lg)) for h in minimal):
+    for g in sorted(basis, key=lambda g: _grevlex_key(_lead(g))):
+        lg = _lead(g)
+        if not any(all(a <= b for a, b in zip(_lead(h), lg)) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        top = _term(g.arity, _lead(g, order), 1)
-        reduced.append(top + naive_normal_form(g - top, minimal, order, modulus))
-    return sorted(reduced, key=lambda g: key(_lead(g, order)), reverse=True)
+        top = _term(g.arity, _lead(g), 1)
+        reduced.append(top + naive_normal_form(g - top, minimal, modulus))
+    return sorted(reduced, key=lambda g: _grevlex_key(_lead(g)), reverse=True)
+
+
+def naive_quotient_dimension(gens, modulus=None):
+    """dim of the quotient by the ideal, from the naive basis; None if infinite.
+
+    The staircase is finite exactly when every variable has a pure power
+    x_i^a_i among the leads.  Every standard monomial then has degree below
+    D = sum(a_i), so `brute_standard_monomials` up to D counts all of them.
+    """
+    leads = [_lead(g) for g in naive_groebner(gens, modulus)]
+    arity = gens[0].arity
+    powers = [min((lm[i] for lm in leads if sum(lm) == lm[i]), default=None)
+              for i in range(arity)]
+    if None in powers:
+        return None
+    return len(brute_standard_monomials(leads, arity, sum(powers)))

@@ -198,7 +198,7 @@ def test_gram_rank_invariant_under_coordinate_change():
     for _ in range(8):
         # random unimodular integer change of coordinates via elementary steps
         arity = 4
-        images = [MultiPoly.variable(arity, i) for i in range(arity)]
+        images = [parse_poly(f"x{i}", arity) for i in range(arity)]
         for _ in range(6):
             i, j = rng.sample(range(arity), 2)
             images[i] = images[i] + images[j] * rng.choice([-2, -1, 1, 2])

@@ -6,26 +6,23 @@ from hypothesis import strategies as st
 
 from flatobs.idealcalc import (
     IdealError,
-    MonomialOrder,
     _Kernel,
     _Reducers,
     buchberger,
-    normal_form,
     projective_dimension,
     standard_monomials,
 )
-from flatobs.polyring import MultiPoly, monomials_of_degree, parse_poly
+from flatobs.polyring import MultiPoly, dehomogenize, monomials_of_degree, parse_poly
 
 from corpus import ideal_corpus, segre_cubic
 from oracles import (
     brute_standard_monomials,
     naive_groebner,
     naive_normal_form,
+    naive_quotient_dimension,
     naive_s_polynomial,
 )
 
-GREVLEX = MonomialOrder.GREVLEX
-LEX = MonomialOrder.LEX
 PRIME = 2**31 - 1
 
 
@@ -45,7 +42,7 @@ def test_binomial_ideal_membership():
     f, g = P("x0^2-x1", 2), P("x1^2", 2)
     assert f * P("x0^2+x1", 2) + g == P("x0^4", 2)
     gb = buchberger([f, g])
-    assert normal_form(P("x0^4", 2), gb).is_zero
+    assert naive_normal_form(P("x0^4", 2), gb.generators).is_zero
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -83,15 +80,15 @@ def check_reduced_groebner(gens, modulus):
     # Buchberger postcondition: every S-polynomial reduces to zero
     for i in range(len(gb.generators)):
         for j in range(i):
-            s = naive_s_polynomial(gb.generators[i], gb.generators[j], gb.order, modulus)
+            s = naive_s_polynomial(gb.generators[i], gb.generators[j], modulus)
             if not s.is_zero:
-                assert normal_form(s, gb).is_zero
+                assert naive_normal_form(s, gb.generators, modulus).is_zero
     # idempotence
     gb2 = buchberger(list(gb.generators), modulus=modulus)
     assert gb2.generators == gb.generators
     # original generators are members
     for g in gens:
-        assert normal_form(g, gb).is_zero
+        assert naive_normal_form(g, gb.generators, modulus).is_zero
 
 
 @pytest.mark.parametrize("name, gens", ideal_corpus())
@@ -106,26 +103,25 @@ def test_corpus_bases_mod_p_are_reduced_groebner(name, gens):
 
 @pytest.mark.parametrize("name, gens", ideal_corpus())
 def test_corpus_bases_match_naive_buchberger(name, gens):
-    for order in (GREVLEX, LEX):
-        for modulus in (None, PRIME):
-            expected = tuple(naive_groebner(gens, order, modulus))
-            assert buchberger(gens, order, modulus).generators == expected
+    for modulus in (None, PRIME):
+        expected = tuple(naive_groebner(gens, modulus))
+        assert buchberger(gens, modulus).generators == expected
 
 
-@pytest.mark.parametrize("order, modulus", [(GREVLEX, None), (LEX, PRIME)])
-def test_jacobian_basis_matches_naive_buchberger(order, modulus):
+@pytest.mark.parametrize("modulus", [None, PRIME])
+def test_jacobian_basis_matches_naive_buchberger(modulus):
     # the extendability ideal of a dense cubic surface; a criterion B that
     # drops pairs it must keep fails here, and only now and then on the
     # small draws below
     f = P("x0^3+x1^3+x2^3+x3^3+x0*x1*x2-2x1*x2*x3+x0^2*x3", 4)
     gens = [f.partial_derivative(i) for i in range(4)] + [f]
-    expected = tuple(naive_groebner(gens, order, modulus))
-    assert buchberger(gens, order, modulus).generators == expected
+    expected = tuple(naive_groebner(gens, modulus))
+    assert buchberger(gens, modulus).generators == expected
 
 
 @st.composite
 def small_ideals(draw):
-    """1-3 generators in 2 or 3 variables, homogeneous or not, with an order and a field."""
+    """1-3 generators in 2 or 3 variables, homogeneous or not, with a field."""
     arity = draw(st.integers(2, 3))
     homogeneous = draw(st.booleans())
     coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -139,73 +135,55 @@ def small_ideals(draw):
             st.dictionaries(st.sampled_from(support), coefficients, min_size=1, max_size=3)
         )
         gens.append(MultiPoly(arity, terms))
-    order = draw(st.sampled_from([GREVLEX, LEX]))
     modulus = draw(st.sampled_from([None, 5, PRIME]))
-    return gens, order, modulus
+    return gens, modulus
 
 
 @given(small_ideals())
 @settings(max_examples=60, deadline=None)
 def test_buchberger_matches_naive_buchberger(ideal):
-    gens, order, modulus = ideal
-    expected = tuple(naive_groebner(gens, order, modulus))
+    gens, modulus = ideal
+    expected = tuple(naive_groebner(gens, modulus))
     if not expected:
         with pytest.raises(IdealError, match="vanishes"):
-            buchberger(gens, order, modulus)
+            buchberger(gens, modulus)
         return
-    assert buchberger(gens, order, modulus).generators == expected
+    assert buchberger(gens, modulus).generators == expected
 
 
 def test_divisor_memo_rechecks_misses_against_later_reducers():
-    kernel = _Kernel(GREVLEX, None)
+    kernel = _Kernel(None)
     reducers = _Reducers()
     first = P("x0^2-x1", 2)
     reducers.append(dict(first.terms), (2, 0))
     f = P("x0^2*x1+x1^2+x0*x1", 2)
     before = kernel.reduce(f.terms, reducers)
     # x1^2 and x0*x1 have no divisor among the one reducer so far
-    assert before == naive_normal_form(f, [first], GREVLEX).terms
+    assert before == naive_normal_form(f, [first]).terms
     assert (0, 2) in before
     # the new reducer divides the cached miss x1^2
     second = P("x1^2-x0", 2)
     reducers.append(dict(second.terms), (0, 2))
     after = kernel.reduce(f.terms, reducers)
     assert (0, 2) not in after
-    assert after == naive_normal_form(f, [first, second], GREVLEX).terms
-
-
-@pytest.mark.parametrize("name, gens", [c for c in ideal_corpus() if c[0] in
-                                        ("vars", "binomial", "fermat-jac-3",
-                                         "artinian-3", "two-points", "nilpotent")])
-def test_artinian_dimension_order_independent(name, gens):
-    dim_grevlex = len(standard_monomials(buchberger(gens, GREVLEX)))
-    dim_lex = len(standard_monomials(buchberger(gens, LEX)))
-    assert dim_grevlex == dim_lex
+    assert after == naive_normal_form(f, [first, second]).terms
 
 
 KNOWN_BASES = [
-    # (generators, arity, order, modulus, reduced basis, largest lead first)
-    (["x0^2+x1^2-1", "x0-x1"], 2, GREVLEX, None, ["x1^2-1/2", "x0-x1"]),
-    (["x0^2+x1^2-1", "x0-x1"], 2, LEX, None, ["x0-x1", "x1^2-1/2"]),
-    (["x0^2+x1^2-1", "x0-x1"], 2, GREVLEX, PRIME, ["x1^2+1073741823", "x0+2147483646x1"]),
-    (["x0^2+x1^2-1", "x0-x1"], 2, LEX, PRIME, ["x0+2147483646x1", "x1^2+1073741823"]),
+    # (generators, arity, modulus, reduced basis, largest lead first)
+    (["x0^2+x1^2-1", "x0-x1"], 2, None, ["x1^2-1/2", "x0-x1"]),
+    (["x0^2+x1^2-1", "x0-x1"], 2, PRIME, ["x1^2+1073741823", "x0+2147483646x1"]),
     # determinant -3: two independent lines over Q, one line mod 3
-    (["x0+x1", "x0-2x1"], 2, GREVLEX, None, ["x0", "x1"]),
-    (["x0+x1", "x0-2x1"], 2, LEX, 3, ["x0+x1"]),
-    (["x0+x1", "x0-2x1"], 2, GREVLEX, 3, ["x0+x1"]),
-    (["x0^2-x1", "x0^3-x1"], 2, LEX, None, ["x0^2-x1", "x0*x1-x1", "x1^2-x1"]),
-    (["x0^2-x1", "x0^3-x1"], 2, GREVLEX, 3, ["x0^2+2x1", "x0*x1+2x1", "x1^2+2x1"]),
-    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, GREVLEX, None, ["x0^2+x1*x2", "x1^2-x0*x2"]),
-    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, LEX, None,
-     ["x0^2+x1*x2", "x0*x1^2+x1*x2^2", "x0*x2-x1^2", "x1^4+x1*x2^3"]),
-    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, LEX, PRIME,
-     ["x0^2+x1*x2", "x0*x1^2+x1*x2^2", "x0*x2+2147483646x1^2", "x1^4+x1*x2^3"]),
+    (["x0+x1", "x0-2x1"], 2, None, ["x0", "x1"]),
+    (["x0+x1", "x0-2x1"], 2, 3, ["x0+x1"]),
+    (["x0^2-x1", "x0^3-x1"], 2, 3, ["x0^2+2x1", "x0*x1+2x1", "x1^2+2x1"]),
+    (["x0^2+x1*x2", "x1^2-x0*x2"], 3, None, ["x0^2+x1*x2", "x1^2-x0*x2"]),
 ]
 
 
-@pytest.mark.parametrize("gens, arity, order, modulus, expected", KNOWN_BASES)
-def test_known_reduced_bases(gens, arity, order, modulus, expected):
-    gb = buchberger([P(g, arity) for g in gens], order, modulus=modulus)
+@pytest.mark.parametrize("gens, arity, modulus, expected", KNOWN_BASES)
+def test_known_reduced_bases(gens, arity, modulus, expected):
+    gb = buchberger([P(g, arity) for g in gens], modulus=modulus)
     assert gb.generators == tuple(P(g, arity) for g in expected)
     assert gb.modulus == modulus
 
@@ -219,33 +197,27 @@ def test_modular_basis_rejects_prime_in_denominator():
 
 def test_modular_normal_form_reduces_input_mod_p():
     gb = buchberger([P("x0^2-x1", 2)], modulus=3)
-    assert normal_form(P("x0^3+1/2*x1", 2), gb) == P("x0*x1+2x1", 2)
+    assert naive_normal_form(P("x0^3+1/2*x1", 2), gb.generators, 3) == P("x0*x1+2x1", 2)
 
 
-# -- normal form ------------------------------------------------------
+# -- normal forms modulo a basis (the oracle's division algorithm) -----
 
 def test_normal_form_single_division_step():
     gb = buchberger([P("x0^2-x1", 2)])
-    assert normal_form(P("x0^2*x1", 2), gb) == P("x1^2", 2)
+    assert naive_normal_form(P("x0^2*x1", 2), gb.generators) == P("x1^2", 2)
 
 
 def test_normal_form_of_generators_is_zero():
     gens = [P("x0^2-x1", 2), P("x1^2", 2)]
     gb = buchberger(gens)
     for g in gb.generators:
-        assert normal_form(g * P("x0*x1", 2), gb).is_zero
+        assert naive_normal_form(g * P("x0*x1", 2), gb.generators).is_zero
 
 
 def test_unit_not_in_maximal_ideal():
     gb = buchberger([P("x0", 3), P("x1", 3), P("x2", 3)])
     one = MultiPoly.constant(3, 1)
-    assert normal_form(one, gb) == one
-
-
-def test_normal_form_arity_mismatch():
-    gb = buchberger([P("x0", 2)])
-    with pytest.raises(IdealError):
-        normal_form(P("x0", 3), gb)
+    assert naive_normal_form(one, gb.generators) == one
 
 
 @given(
@@ -264,8 +236,8 @@ def test_normal_form_arity_mismatch():
 def test_normal_form_is_linear(t1, t2):
     gb = buchberger([P("x0^2-x1", 2), P("x1^3", 2)])
     p, q = MultiPoly(2, t1), MultiPoly(2, t2)
-    lhs = normal_form(p + q * 3, gb)
-    rhs = normal_form(p, gb) + normal_form(q, gb) * 3
+    lhs = naive_normal_form(p + q * 3, gb.generators)
+    rhs = naive_normal_form(p, gb.generators) + naive_normal_form(q, gb.generators) * 3
     assert lhs == rhs
 
 
@@ -283,16 +255,9 @@ def test_standard_monomials_maximal_ideal():
     assert standard_monomials(gb) == [(0, 0, 0)]
 
 
-def test_standard_monomials_with_cap():
+def test_standard_monomials_infinite_staircase_rejected():
     gb = buchberger([P("x0*x1", 2)])
-    sm = standard_monomials(gb, cap=2)
-    assert sm == brute_standard_monomials([(1, 1)], 2, 2)
-    assert sm == [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
-
-
-def test_standard_monomials_infinite_needs_cap():
-    gb = buchberger([P("x0*x1", 2)])
-    with pytest.raises(IdealError, match="cap"):
+    with pytest.raises(IdealError, match="infinite"):
         standard_monomials(gb)
 
 
@@ -301,6 +266,34 @@ def test_standard_monomials_unit_ideal_empty():
     # gb of <x0 - 1> in one variable is not the unit ideal; use a real unit ideal
     gb = buchberger([P("x0", 1), P("x0-1", 1)])
     assert standard_monomials(gb) == []
+
+
+# -- Artinian quotient dimension: a second route ----------------------
+
+def segre_chart_ideals():
+    """The dehomogenized Jacobian ideal of the Segre cubic in each of its 5 charts."""
+    f = segre_cubic()
+    partials = [f.partial_derivative(i) for i in range(5)]
+    return [[dehomogenize(g, chart) for g in partials] for chart in range(5)]
+
+
+@pytest.mark.parametrize("modulus", [None, PRIME])
+@pytest.mark.parametrize("name, gens", ideal_corpus())
+def test_corpus_quotient_dimension_matches_naive_staircase(name, gens, modulus):
+    expected = naive_quotient_dimension(gens, modulus)
+    gb = buchberger(gens, modulus)
+    if expected is None:
+        with pytest.raises(IdealError, match="infinite"):
+            standard_monomials(gb)
+    else:
+        assert len(standard_monomials(gb)) == expected
+
+
+@pytest.mark.parametrize("chart", range(5))
+def test_segre_chart_degrees_match_naive_staircase(chart):
+    # the numbers behind `chart_degrees` of the segre golden
+    gens = segre_chart_ideals()[chart]
+    assert len(standard_monomials(buchberger(gens))) == naive_quotient_dimension(gens) == 10
 
 
 # -- projective dimension --------------------------------------------
@@ -320,15 +313,9 @@ def test_segre_jacobian_dimension_zero():
     gens = [f.partial_derivative(i) for i in range(5)] + [f]
     gb = buchberger(gens)
     assert projective_dimension(gb) == 0
-    # cross-check: in every affine chart the Jacobian quotient is Artinian,
-    # i.e. standard_monomials terminates without a cap
-    from flatobs.polyring import dehomogenize
-
-    for chart in range(5):
-        chart_gb = buchberger(
-            [dehomogenize(f.partial_derivative(i), chart) for i in range(5)]
-        )
-        standard_monomials(chart_gb)  # raises if the staircase were infinite
+    # cross-check: in every affine chart the Jacobian quotient is Artinian
+    for gens in segre_chart_ideals():
+        standard_monomials(buchberger(gens))  # raises if the staircase were infinite
 
 
 def test_projective_dimension_requires_homogeneous():

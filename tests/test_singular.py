@@ -166,7 +166,22 @@ def test_missing_node_detected():
     assert report.complete is False
     assert report.locus_dimension == 0
     # chart degrees still see all ten singular points
-    assert report.jacobian_quotient_degree == 10
+    assert report.chart_degrees == (10,) * 5
+    # the length is not claimed without a complete certificate
+    assert report.jacobian_quotient_degree is None
+
+
+@pytest.mark.parametrize("listed", range(4))
+def test_triangle_scheme_length_only_when_complete(listed):
+    # three nodes, one at each vertex; each chart sees only its own vertex,
+    # so no chart tells how many nodes lie off it, and the scheme length
+    # (3) is reported only once all three are listed
+    f = P("x0*x1*x2", 3)
+    vertices = [ProjectivePoint(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    report = analyze_singularities(f, vertices[:listed])
+    assert report.chart_degrees == (1, 1, 1)
+    assert report.complete is (listed == 3)
+    assert report.jacobian_quotient_degree == (3 if listed == 3 else None)
 
 
 def test_non_node_isolated_classification():
