@@ -143,11 +143,14 @@ def validate_scenario(data) -> dict:
                     )
     elif kind == "quadric_section":
         arity = _need(data, "arity", int, context)
-        if arity < 2:
-            raise SchemaError(f"{context}: arity must be at least 2")
         _need(data, "quadric", str, context)
         family = _need(data, "smooth_family", dict, context)
-        _need_multidegree(family, f"{context}.smooth_family")
+        md = _need_multidegree(family, f"{context}.smooth_family")
+        if arity != md.ambient + 1:
+            raise SchemaError(
+                f"{context}: arity {arity} does not match smooth_family {md.label()}, "
+                f"which lives in P^{md.ambient} (arity {md.ambient + 1})"
+            )
         flags = _need(data, "section_smooth_flags", dict, context)
         _need(flags, "components_smooth_and_distinct", bool, f"{context}.section_smooth_flags")
     elif kind == "smooth_ci":

@@ -11,7 +11,10 @@ Buchberger's algorithm takes pairs by lcm degree and prunes them with the
 Gebauer–Möller update (criteria B, M and F plus coprime leads).  Every
 reduction in one call goes through one divisor memo per reducer list, which
 records each monomial's first divisor in list order; the memo changes no
-normal form, only how fast the divisor is found.
+normal form, only how fast the divisor is found.  Monomial arithmetic in the
+hot loops maps `operator` functions over the exponent tuples directly
+(``tuple(map(add, m, shift))``, ``all(map(le, lead, m))``) rather than
+calling the `polyring` helpers of the same form.
 
 One Buchberger kernel serves two coefficient fields.  By default it works
 over Q with exact `Fraction` coefficients.  With `modulus=p` (a prime) it
@@ -29,16 +32,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, le, sub
 
 from .errors import ToolError
-from .polyring import (
-    Monomial,
-    MultiPoly,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .polyring import Monomial, MultiPoly, monomial_divides
 
 __all__ = [
     "GroebnerBasis",
@@ -123,14 +120,14 @@ class _Kernel:
     def s_polynomial(self, f: dict, lf: Monomial, g: dict, lg: Monomial) -> dict:
         """S-polynomial of two monic dicts; the leading terms cancel unbuilt."""
         p = self.p
-        lcm = monomial_lcm(lf, lg)
-        sf = monomial_div(lcm, lf)
-        sg = monomial_div(lcm, lg)
-        out = {monomial_mul(m, sf): c for m, c in f.items() if m != lf}
+        lcm = tuple(map(max, lf, lg))
+        sf = tuple(map(sub, lcm, lf))
+        sg = tuple(map(sub, lcm, lg))
+        out = {tuple(map(add, m, sf)): c for m, c in f.items() if m != lf}
         for m, c in g.items():
             if m == lg:
                 continue
-            t = monomial_mul(m, sg)
+            t = tuple(map(add, m, sg))
             old = out.get(t)
             if old is None:
                 out[t] = -c if p is None else p - c
@@ -171,7 +168,7 @@ class _Kernel:
                 # a miss among the first ~i reducers: check only the later ones
                 n = len(leads)
                 for k in range(~i, n):
-                    if monomial_divides(leads[k], m):
+                    if all(map(le, leads[k], m)):
                         i = k
                         break
                 else:
@@ -180,9 +177,9 @@ class _Kernel:
                 if i < 0:
                     remainder[m] = c
                     continue
-            shift = monomial_div(m, leads[i])
+            shift = tuple(map(sub, m, leads[i]))
             for gm, gc in tails[i]:
-                t = monomial_mul(gm, shift)
+                t = tuple(map(add, gm, shift))
                 old = work.get(t)
                 if old is None:
                     work[t] = -c * gc if p is None else -c * gc % p
@@ -315,27 +312,27 @@ def _update(leads: list, active: list, queue: list, t: int) -> list:
     Comp. 6 (1988); Becker and Weispfenning, Gröbner Bases (1993), UPDATE.
     """
     h = leads[t]
-    new = [(k, monomial_lcm(leads[k], h)) for k in active]
+    new = [(k, tuple(map(max, leads[k], h))) for k in active]
     kept = []
     for n, (k, l) in enumerate(new):
-        coprime = l == monomial_mul(leads[k], h)
+        coprime = l == tuple(map(add, leads[k], h))
         if coprime or not (
-            any(monomial_divides(other, l) for _, other in new[n + 1 :])
-            or any(monomial_divides(other, l) for _, other, _ in kept)
+            any(all(map(le, other, l)) for _, other in new[n + 1 :])
+            or any(all(map(le, other, l)) for _, other, _ in kept)
         ):
             kept.append((k, l, coprime))
     queue[:] = [
         entry
         for entry in queue
-        if not monomial_divides(h, entry[3])
-        or monomial_lcm(leads[entry[1]], h) == entry[3]
-        or monomial_lcm(leads[entry[2]], h) == entry[3]
+        if not all(map(le, h, entry[3]))
+        or tuple(map(max, leads[entry[1]], h)) == entry[3]
+        or tuple(map(max, leads[entry[2]], h)) == entry[3]
     ]
     heapq.heapify(queue)
     for k, l, coprime in kept:
         if not coprime:
             heapq.heappush(queue, (sum(l), k, t, l))
-    return [k for k in active if not monomial_divides(h, leads[k])] + [t]
+    return [k for k in active if not all(map(le, h, leads[k]))] + [t]
 
 
 def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
@@ -346,7 +343,7 @@ def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
     minimal = []
     for i in ascending:
         lm = leads[i]
-        if not any(monomial_divides(lead, lm) for lead, _ in minimal):
+        if not any(all(map(le, lead, lm)) for lead, _ in minimal):
             minimal.append((lm, basis[i]))
     # Leads are now fixed and a tail term can only be divisible by a smaller
     # lead, so one ascending pass against the already reduced generators

@@ -3,12 +3,16 @@
 Variables are positional (``x0``, ``x1``, ...); exponent vectors are dense
 tuples with one entry per variable.  Coefficients are exact rationals
 (`fractions.Fraction`); nothing in this package touches floating point.
+Monomial arithmetic maps `operator` functions over the exponent tuples
+(``tuple(map(add, a, b))``); `idealcalc` writes the same form inline in the
+hot loops of its Gröbner kernel.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ToolError
@@ -51,21 +55,21 @@ class ParseError(PolyringError):
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomials_of_degree(arity: int, degree: int) -> list[Monomial]:

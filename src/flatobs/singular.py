@@ -142,23 +142,20 @@ def jacobian_ideal(f: MultiPoly) -> list:
     return [f.partial_derivative(i) for i in range(f.arity)]
 
 
-def _chart_hessian_rank(partials, point: ProjectivePoint) -> int:
+def _chart_hessian_rank(hessian, point: ProjectivePoint) -> int:
     """Rank of the Hessian at the point, restricted to the point's chart.
 
-    Substituting x_chart = 1 is affine, so chart second partials equal the
-    full second partials evaluated at the normalized coordinates; the chart
-    row/column is simply deleted.
+    `hessian` holds the second partials of f as polynomials.  Substituting
+    x_chart = 1 is affine, so chart second partials equal the full second
+    partials evaluated at the normalized coordinates; the chart row/column
+    is simply deleted.
     """
-    arity = len(point)
     coords = point.coordinates
     chart = point.chart
-    hessian = [
-        [partials[j].partial_derivative(k).evaluate(coords) for k in range(arity)]
-        for j in range(arity)
-    ]
+    values = [[h.evaluate(coords) for h in row] for row in hessian]
     reduced = [
-        [hessian[j][k] for k in range(arity) if k != chart]
-        for j in range(arity)
+        [v for k, v in enumerate(row) if k != chart]
+        for j, row in enumerate(values)
         if j != chart
     ]
     return exact_rank(reduced)
@@ -176,6 +173,7 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
     arity = f.arity
     locus = projective_dimension(buchberger([*partials, f]))
 
+    hessian = None  # built at the first candidate that needs it
     classified = []
     notes = []
     for pt in sorted(set(candidate_points)):
@@ -193,7 +191,9 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
         if locus > 0:
             classified.append((pt, UNVERIFIED))
             continue
-        rank = _chart_hessian_rank(partials, pt)
+        if hessian is None:
+            hessian = [[g.partial_derivative(k) for k in range(arity)] for g in partials]
+        rank = _chart_hessian_rank(hessian, pt)
         classified.append((pt, NODE if rank == arity - 1 else NON_NODE_ISOLATED))
 
     if locus > 0:

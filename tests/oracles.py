@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code path with the
 package beyond `MultiPoly` arithmetic: multinomial expansion by enumeration,
 rank by plain fraction Gaussian elimination, monomial counting by direct
-iteration, Gröbner bases by Buchberger's algorithm with every pair reduced.
+iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
+exponent arithmetic by generators over `zip`.
 """
 
 from fractions import Fraction
@@ -137,6 +138,27 @@ def expected_verdict(b):
         "palindromic": is_palindromic(b),
         "witnesses": failed,
     }
+
+
+# -- exponent-vector helpers --------------------------------------------------
+#
+# The `polyring` monomial helpers in their first form, generators over `zip`.
+
+
+def zip_monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def zip_monomial_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def zip_monomial_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def zip_monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # -- Gröbner bases by plain Buchberger ---------------------------------------

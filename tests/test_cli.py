@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from flatobs.cli import (
 
 GOLDENS = ("segre", "degenerate_quadric", "smooth_cubic3fold")
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,20 @@ def test_candidate_point_length_checked():
     data["candidate_singular_points"] = [["1", "2"]]
     with pytest.raises(SchemaError, match="coordinates"):
         validate_scenario(data)
+
+
+@pytest.mark.parametrize("arity, degrees", [(3, [3]), (6, [3]), (5, [2, 3]), (7, [2, 3])])
+def test_quadric_section_arity_must_match_family(arity, degrees, capsys, tmp_path):
+    # V_3(d_1, ..., d_k) lives in P^{3+k}, so its quadric sections need
+    # arity 4 + k; the bundled V_3(2,3) scenario has arity 6
+    data = bundled_scenario("degenerate_quadric")
+    data["arity"] = arity
+    data["smooth_family"]["degrees"] = degrees
+    with pytest.raises(SchemaError, match="does not match smooth_family"):
+        validate_scenario(data)
+    code, out, err = run_cli(capsys, "analyze", write_scenario(tmp_path, data))
+    assert (code, out) == (1, "")
+    assert err.startswith("error [cli.schema]")
 
 
 @pytest.mark.parametrize("coordinate", ["1/0", "abc"])
@@ -369,14 +384,37 @@ def test_load_scenario_validates(tmp_path):
         load_scenario(str(path))
 
 
-# -- bench trace bindings ------------------------------------------------------
+# -- bench trace bindings and answers ------------------------------------------
+
+def load_bench_module(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    path = BENCH_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"flatobs_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_tracer_bindings_resolve():
     # perfbench/run.py --trace 1 patches these names; a refactor that drops
     # one would otherwise surface only in the slow bench self-check
-    spec = importlib.util.spec_from_file_location("flatobs_bench_tracer", TRACER_PATH)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     for module, attr, _ in tracer.BINDINGS:
         owner, key = tracer.binding_owner(flatobs, module, attr)
         assert key in owner.__dict__, f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("workload, size", [("extendability", 20), ("sections", 11)])
+def test_bench_round_answers_check(workload, size):
+    # one seeded round through the op path of perfbench/run.py; the checks in
+    # perfbench/workloads.py import nothing from flatobs, so they catch a
+    # kernel regression that flatobs's own answers would not
+    workloads = load_bench_module("workloads")
+    ops = next(workloads.rounds_for(workload, 1))
+    assert len(ops) == size
+    for op in ops:
+        report = run(validate_scenario(op.scenario))
+        report.pop("timing_seconds")
+        json.dumps(report, indent=2)
+        assert workloads.check(op, report) is None, op.cls

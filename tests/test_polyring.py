@@ -9,12 +9,22 @@ from flatobs.polyring import (
     ParseError,
     PolyringError,
     dehomogenize,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
     monomials_of_degree,
     parse_poly,
     restrict_to_hyperplane,
 )
 
-from oracles import expand_linear_power
+from oracles import (
+    expand_linear_power,
+    zip_monomial_div,
+    zip_monomial_divides,
+    zip_monomial_lcm,
+    zip_monomial_mul,
+)
 
 
 def x(arity, i):
@@ -46,6 +56,28 @@ def homogeneous_polys(arity, degree, max_terms=4):
 
 
 points = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+monomial_pairs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(monomials(n, 4), monomials(n, 4))
+)
+
+
+# -- monomial helpers -------------------------------------------------
+
+@given(monomial_pairs)
+@settings(max_examples=200, deadline=None)
+def test_monomial_helpers_match_zip_oracles(pair):
+    a, b = pair
+    lcm = zip_monomial_lcm(a, b)
+    product = zip_monomial_mul(a, b)
+    assert monomial_mul(a, b) == product
+    assert monomial_lcm(a, b) == lcm
+    for x, y in ((a, b), (b, a), (a, lcm), (b, product), (lcm, a)):
+        assert monomial_divides(x, y) is zip_monomial_divides(x, y)
+    for x, y in ((lcm, a), (lcm, b), (product, a), (a, b)):
+        assert monomial_div(x, y) == zip_monomial_div(x, y)
+    assert monomial_divides(a, lcm) and monomial_divides(b, product)
+    assert all(type(f(a, b)) is tuple for f in (monomial_mul, monomial_div, monomial_lcm))
 
 
 # -- parsing ----------------------------------------------------------
