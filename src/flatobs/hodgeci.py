@@ -1,19 +1,26 @@
 """Hodge diamonds, Betti vectors, and Hodge levels of smooth complete intersections.
 
+Every characteristic class here comes from one K-theory class.  For an
+n-dimensional complete intersection X of degrees d_1..d_k in P^N, N = n + k,
+the Euler sequence and the conormal sequence give
+
+    [Omega_X] = (N+1)[O(-1)] - [O] - sum_i [O(-d_i)].
+
 Primary route: exact Hirzebruch-Riemann-Roch in the truncated series ring
-Q[h]/(h^{n+1}).  The tangent bundle of an n-dimensional complete
-intersection X of degrees d_1..d_k in P^{n+k} is, in K-theory,
-T_P|X - O - (O(d_1) + ... + O(d_k)), so the power sums of its formal Chern
-roots have the closed form p_s = (n+k+1 - sum_j d_j^s) h^s for s >= 1
-(Hirzebruch, Topological Methods in Algebraic Geometry, section 22).  Chern
-characters of exterior powers of the cotangent bundle and the Todd class
-come from these power sums; chi_p = deg(X) * [h^n] ch(Lambda^p Omega) * td(T).
-Middle Hodge numbers are recovered from the chi_p together with the
-hyperplane-section shape of the off-middle cohomology.
+Q[h]/(h^{n+1}), with three formulas read off that class (Hirzebruch,
+Topological Methods in Algebraic Geometry, section 22):
+
+    sum_p ch(Lambda^p Omega_X) y^p = (1 + y e^{-h})^{N+1} / ((1 + y) prod_i (1 + y e^{-d_i h})),
+    td(T_X) = B(h)^{N+1} / prod_i B(d_i h),  with B(h) = h / (1 - e^{-h}),
+    chi_p = chi(Omega^p_X) = deg(X) [h^n] ch(Lambda^p Omega_X) td(T_X).
+
+The last is a dot product of two series.  Middle Hodge numbers are
+recovered from the chi_p together with the hyperplane-section shape of the
+off-middle cohomology.
 
 The Euler characteristic takes a second route, deg(X) * [h^n] of the total
-Chern class (1+h)^{n+k+1} / prod_j (1 + d_j h), which shares no code with
-the power sums.
+Chern class (1+h)^{N+1} / prod_i (1 + d_i h); it shares only the series
+helpers and the K-class with HRR.
 
 Independent oracle (hypersurfaces only): the Griffiths residue description,
 counting bounded-exponent monomials in the graded pieces of the Jacobian
@@ -89,15 +96,6 @@ def _ser(prec, const=0):
     return s
 
 
-def _ser_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _ser_scale(a, c):
-    c = Fraction(c)
-    return [x * c for x in a]
-
-
 def _ser_mul(a, b):
     prec = len(a)
     out = [Fraction(0)] * prec
@@ -125,34 +123,6 @@ def _ser_inv(a):
     return out
 
 
-def _ser_exp(a):
-    if a[0]:
-        raise HodgeError("series exp needs a zero constant term")
-    prec = len(a)
-    out = [Fraction(0)] * prec
-    out[0] = Fraction(1)
-    for m in range(1, prec):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if a[j]:
-                acc += j * a[j] * out[m - j]
-        out[m] = acc / m
-    return out
-
-
-def _ser_log(a):
-    if a[0] != 1:
-        raise HodgeError("series log needs constant term 1")
-    prec = len(a)
-    # log(a) = integral of a'/a
-    deriv = [(i + 1) * a[i + 1] for i in range(prec - 1)] + [Fraction(0)]
-    ratio = _ser_mul(deriv, _ser_inv(a))
-    out = [Fraction(0)] * prec
-    for m in range(1, prec):
-        out[m] = ratio[m - 1] / m
-    return out
-
-
 # -- the HRR pipeline --------------------------------------------------
 
 def _factorials(prec):
@@ -174,42 +144,43 @@ def _chern_total(md: Multidegree, prec: int):
     return c
 
 
-def _todd_class(power_sums, prec: int):
-    """td(T_X) = exp(sum_i q(a_i)) with q = -log((1 - e^{-a})/a)."""
-    fact = _factorials(prec + 1)
-    u = [Fraction((-1) ** j, fact[j + 1]) for j in range(prec)]  # (1-e^{-a})/a
-    q = _ser_scale(_ser_log(u), -1)
-    total = _ser(prec)
-    for s in range(1, prec):
-        if s <= len(power_sums) - 1 and q[s]:
-            total[s] += q[s] * power_sums[s]
-    return _ser_exp(total)
-
-
-def _exterior_chern_characters(power_sums, n: int, prec: int):
+def _exterior_chern_characters(md: Multidegree, prec: int):
     """ch(Lambda^p Omega_X) for p = 0..n, as series in h.
 
-    The roots of Omega are the negated Chern roots; elementary symmetric
-    functions of their exponentials are rebuilt from power sums by Newton's
-    identities in the truncated series ring.
+    The coefficients of y^p in (1 + y e^{-h})^{N+1} are C(N+1, p) e^{-p h}.
+    Dividing by 1 + c y, for c = 1 and then c = e^{-d h} per degree d, is
+    the recurrence ch_p <- ch_p - c ch_{p-1} in increasing p.
     """
     fact = _factorials(prec)
-    # t_r = sum_i exp(-r a_i) = n + sum_s (-r)^s p_s h^s / s!
-    t = [None] * (n + 1)
-    for r in range(1, n + 1):
-        series = _ser(prec, n)
-        for s in range(1, prec):
-            if s <= n and power_sums[s]:
-                series[s] += Fraction((-r) ** s, fact[s]) * power_sums[s]
-        t[r] = series
-    e = [_ser(prec, 1)]
-    for m in range(1, n + 1):
-        acc = _ser(prec)
-        for r in range(1, m + 1):
-            term = _ser_mul(e[m - r], t[r])
-            acc = _ser_add(acc, _ser_scale(term, Fraction(-1) ** (r - 1)))
-        e.append(_ser_scale(acc, Fraction(1, m)))
-    return e
+
+    def exp_neg(a):  # e^{-a h}
+        return [Fraction((-a) ** s, fact[s]) for s in range(prec)]
+
+    ch = [[comb(md.ambient + 1, p) * c for c in exp_neg(p)] for p in range(md.n + 1)]
+    for p in range(1, md.n + 1):
+        ch[p] = [a - b for a, b in zip(ch[p], ch[p - 1])]
+    for d in md.degrees:
+        shift = exp_neg(d)
+        for p in range(1, md.n + 1):
+            ch[p] = [a - b for a, b in zip(ch[p], _ser_mul(shift, ch[p - 1]))]
+    return ch
+
+
+def _todd_class(md: Multidegree, prec: int):
+    """td(T_X) = B(h)^{N+1} / prod_i B(d_i h), with B(h) = h / (1 - e^{-h}).
+
+    1 / B(d h) = (1 - e^{-d h}) / (d h) is the series of 1 / B(h) with
+    coefficient s scaled by d^s.
+    """
+    fact = _factorials(prec + 1)
+    inverse_b = [Fraction((-1) ** s, fact[s + 1]) for s in range(prec)]
+    b = _ser_inv(inverse_b)
+    td = _ser(prec, 1)
+    for _ in range(md.ambient + 1):
+        td = _ser_mul(td, b)
+    for d in md.degrees:
+        td = _ser_mul(td, [c * d**s for s, c in enumerate(inverse_b)])
+    return td
 
 
 @dataclass(frozen=True)
@@ -268,13 +239,10 @@ def hodge_diamond(md: Multidegree) -> HodgeDiamond:
     n = md.n
     prec = n + 1
     degree = prod(md.degrees)
-    # p_s of the Chern roots for s >= 1; p_0 is the rank n
-    p_sums = [n] + [md.ambient + 1 - sum(d**s for d in md.degrees) for s in range(1, n + 1)]
-    todd = _todd_class(p_sums, prec)
-    exterior = _exterior_chern_characters(p_sums, n, prec)
+    todd = _todd_class(md, prec)
     middle = []
-    for p in range(n + 1):
-        chi = degree * _ser_mul(exterior[p], todd)[n]
+    for p, ch in enumerate(_exterior_chern_characters(md, prec)):
+        chi = degree * sum(a * b for a, b in zip(ch, reversed(todd)))
         if chi.denominator != 1:
             raise HodgeError(f"chi_{p} is not an integer for {md.label()}: {chi}")
         chi = int(chi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ToolError
@@ -23,9 +23,7 @@ __all__ = [
     "ParseError",
     "PolyringError",
     "dehomogenize",
-    "monomial_div",
     "monomial_divides",
-    "monomial_lcm",
     "monomial_mul",
     "monomials_of_degree",
     "parse_poly",
@@ -61,15 +59,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 def monomials_of_degree(arity: int, degree: int) -> list[Monomial]:

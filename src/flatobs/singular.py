@@ -1,12 +1,17 @@
 """Singularity analysis of projective hypersurfaces over Q.
 
 Computes the singular-locus dimension from the Jacobian ideal, verifies and
-classifies user-supplied rational singular points (node = nondegenerate chart
-Hessian), and certifies completeness of the point list by exact degree
-accounting: in every affine chart, the Artinian quotient degree of the
-dehomogenized Jacobian ideal must equal the number of verified nodes visible
-there.  Points are verified, never discovered; a missing or irrational
-singular point shows up as a chart-count mismatch and yields complete=False.
+classifies user-supplied rational singular points, and certifies completeness
+of the point list by exact degree accounting: in every affine chart, the
+Artinian quotient degree of the dehomogenized Jacobian ideal must equal the
+number of verified nodes visible there.  Points are verified, never
+discovered; a missing or irrational singular point shows up as a chart-count
+mismatch and yields complete=False.
+
+A node is a point with a nondegenerate chart Hessian.  By Euler's relation
+H(p) p = (d-1) grad f(p) = 0 at a singular point p, and H is symmetric, so
+the full projective Hessian has the same rank as the chart Hessian: a node
+is a point where it has rank arity - 1.
 
 Only `extendability` uses modular arithmetic, as a one-way certificate: a
 singular locus of dimension <= 0 mod p = 2^31 - 1 proves the answer True,
@@ -62,11 +67,6 @@ class ProjectivePoint:
         if pivot is None:
             raise SingularError("projective point must have a nonzero coordinate")
         self.coordinates = tuple(v / pivot for v in vals)
-
-    @property
-    def chart(self) -> int:
-        """Index of the first nonzero coordinate (normalized to 1)."""
-        return next(i for i, v in enumerate(self.coordinates) if v)
 
     def __len__(self) -> int:
         return len(self.coordinates)
@@ -142,38 +142,19 @@ def jacobian_ideal(f: MultiPoly) -> list:
     return [f.partial_derivative(i) for i in range(f.arity)]
 
 
-def _chart_hessian_rank(hessian, point: ProjectivePoint) -> int:
-    """Rank of the Hessian at the point, restricted to the point's chart.
-
-    `hessian` holds the second partials of f as polynomials.  Substituting
-    x_chart = 1 is affine, so chart second partials equal the full second
-    partials evaluated at the normalized coordinates; the chart row/column
-    is simply deleted.
-    """
-    coords = point.coordinates
-    chart = point.chart
-    values = [[h.evaluate(coords) for h in row] for row in hessian]
-    reduced = [
-        [v for k, v in enumerate(row) if k != chart]
-        for j, row in enumerate(values)
-        if j != chart
-    ]
-    return exact_rank(reduced)
-
-
 def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityReport:
     """Locus dimension, point verification/classification, completeness.
 
     Candidates must lie on V(f) (error otherwise).  A candidate where some
     partial is nonzero is not an error: it is flagged in `notes` and left
     unverified.  Node classification requires all partials to vanish and the
-    chart Hessian to have full rank, both exactly over Q.
+    projective Hessian to have rank arity - 1, both exactly over Q.
     """
     partials = jacobian_ideal(f)
     arity = f.arity
     locus = projective_dimension(buchberger([*partials, f]))
 
-    hessian = None  # built at the first candidate that needs it
+    upper = None  # second partials f_jk, j <= k; built at the first candidate that needs them
     classified = []
     notes = []
     for pt in sorted(set(candidate_points)):
@@ -191,9 +172,12 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
         if locus > 0:
             classified.append((pt, UNVERIFIED))
             continue
-        if hessian is None:
-            hessian = [[g.partial_derivative(k) for k in range(arity)] for g in partials]
-        rank = _chart_hessian_rank(hessian, pt)
+        if upper is None:
+            upper = [[g.partial_derivative(k) for k in range(j, arity)]
+                     for j, g in enumerate(partials)]
+        rows = [[h.evaluate(pt.coordinates) for h in row] for row in upper]
+        hessian = [[rows[min(j, k)][abs(k - j)] for k in range(arity)] for j in range(arity)]
+        rank = exact_rank(hessian)
         classified.append((pt, NODE if rank == arity - 1 else NON_NODE_ISOLATED))
 
     if locus > 0:

@@ -4,12 +4,13 @@ Everything here is deliberately naive and shares no code path with the
 package beyond `MultiPoly` arithmetic: multinomial expansion by enumeration,
 rank by plain fraction Gaussian elimination, monomial counting by direct
 iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
-exponent arithmetic by generators over `zip`.
+exponent arithmetic by generators over `zip`, Hodge numbers of complete
+intersections from Hirzebruch's chi_y generating function.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import comb, factorial
 
 from flatobs.polyring import MultiPoly
 
@@ -153,14 +154,6 @@ def zip_monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def zip_monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def zip_monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 # -- Gröbner bases by plain Buchberger ---------------------------------------
 #
 # Polynomials are `MultiPoly`s; over F_p their coefficients are the integers
@@ -270,3 +263,59 @@ def naive_quotient_dimension(gens, modulus=None):
     if None in powers:
         return None
     return len(brute_standard_monomials(leads, arity, sum(powers)))
+
+
+# -- Hodge numbers from the chi_y genus ----------------------------------------
+#
+# Hirzebruch, Topological Methods in Algebraic Geometry, section 22: for
+# complete intersections V_n(d_1..d_k),
+#   sum_n chi_y(V_n(d)) z^{n+k}
+#     = 1/((1+zy)(1-z)) * prod_i ((1+zy)^{d_i} - (1-z)^{d_i}) / ((1+zy)^{d_i} + y(1-z)^{d_i}),
+# where chi_y = sum_p chi(Omega^p) y^p.
+
+
+def _chi_y_at(n, degrees, y):
+    """chi_y(V_n(degrees)) at one rational y >= 0, from truncated series in z."""
+    prec = n + len(degrees) + 1
+
+    def binomial(b, e):  # (1 + b z)^e
+        return [Fraction(comb(e, j)) * b**j for j in range(prec)]
+
+    def mul(s, t):
+        return [sum(s[i] * t[m - i] for i in range(m + 1)) for m in range(prec)]
+
+    def div(s, t):
+        out = []
+        for m in range(prec):
+            out.append((s[m] - sum(t[i] * out[m - i] for i in range(1, m + 1))) / t[0])
+        return out
+
+    one = [Fraction(1)] + [Fraction(0)] * (prec - 1)
+    series = div(one, mul(binomial(y, 1), binomial(-1, 1)))
+    for d in degrees:
+        plus, minus = binomial(y, d), binomial(-1, d)
+        numerator = [a - b for a, b in zip(plus, minus)]
+        denominator = [a + y * b for a, b in zip(plus, minus)]
+        series = mul(series, div(numerator, denominator))
+    return series[prec - 1]
+
+
+def chi_y_middle_hodge(md):
+    """h^{p, n-p} for p = 0..n of the smooth complete intersection `md`.
+
+    chi_y is evaluated at y = 0..n and its coefficients chi^p = chi(Omega^p)
+    recovered by Lagrange interpolation; off the middle row h^{p,q} is 1 when
+    p == q and 0 otherwise, which fixes h^{p, n-p} from chi^p.
+    """
+    n = md.n
+    chi = [Fraction(0)] * (n + 1)
+    for j in range(n + 1):
+        basis, scale = [Fraction(1)], Fraction(1)  # prod_{m != j} (y - m) / (j - m)
+        for m in range(n + 1):
+            if m != j:
+                basis = [a - m * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                scale /= j - m
+        value = _chi_y_at(n, md.degrees, Fraction(j))
+        chi = [c + value * scale * b for c, b in zip(chi, basis)]
+    trivial = [0 if 2 * p == n else (-1) ** p for p in range(n + 1)]
+    return tuple((-1) ** (n - p) * (chi[p] - trivial[p]) for p in range(n + 1))

@@ -11,7 +11,7 @@ from flatobs.hodgeci import (
     scan_level1,
 )
 
-from oracles import count_bounded_monomials
+from oracles import chi_y_middle_hodge, count_bounded_monomials
 
 
 def md(n, *degrees):
@@ -201,3 +201,18 @@ def test_intermediate_jacobian_dimensions():
         b_mid = hodge_diamond(m).betti(m.n)
         assert b_mid % 2 == 0, m.label()
     assert hodge_diamond(md(3, 2, 3)).betti(3) // 2 == 20
+
+
+# -- chi_y oracle ---------------------------------------------------------------
+
+def test_chi_y_oracle_agreement_complete_intersections():
+    # HRR route vs Hirzebruch's chi_y generating function, every k >= 2 case
+    # with n <= 5 and degrees <= 4
+    cases = [m for m in box_multidegrees(n_max=5, d_max=4, k_max=4) if m.k >= 2]
+    assert len(cases) == 155
+    for m in cases:
+        assert chi_y_middle_hodge(m) == hodge_diamond(m).middle, m.label()
+
+
+def test_chi_y_oracle_v3_23_anchor():
+    assert sum(chi_y_middle_hodge(md(3, 2, 3))) == 40

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used."""
+"""Every import in the package and its tests is used, and every private
+module-level function or class of the package is read in its own module."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/flatobs/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/flatobs/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +34,27 @@ def unused_imports(source: str) -> list:
     return [(name, line) for name, line in sorted(imported, key=lambda x: x[1]) if name not in used]
 
 
+def unread_private_definitions(source: str) -> list:
+    """Module-level `_private` functions and classes whose name is never read.
+
+    Scope-blind, as `unused_imports`: a read anywhere in the module counts.
+    """
+    tree = ast.parse(source)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (node.name, node.lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
 def test_scan_covers_package_and_tests():
     names = {path.name for path in FILES}
     assert {"idealcalc.py", "cli.py", "test_imports.py", "oracles.py"} <= names
@@ -48,3 +71,19 @@ def test_scan_finds_unused_and_honours_all():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_scan_finds_unread_definitions():
+    source = (
+        "def _used():\n    return 1\n\n"
+        "def _dead():\n    return _used()\n\n"
+        "class _Dead:\n    def _method(self):\n        pass\n\n"
+        "def public():\n    def _inner():\n        pass\n\n"
+        "def _rebound():\n    pass\n_rebound = None\n"
+    )
+    assert unread_private_definitions(source) == [("_dead", 4), ("_Dead", 7), ("_rebound", 15)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_private_definitions(path):
+    assert unread_private_definitions(path.read_text(encoding="utf-8")) == []
