@@ -8,6 +8,12 @@ number of verified nodes visible there.  Points are verified, never
 discovered; a missing or irrational singular point shows up as a chart-count
 mismatch and yields complete=False.
 
+An empty locus needs no chart basis.  Over Q, Euler's relation
+d f = sum x_i f_i puts f in the Jacobian ideal J, so V(J) is empty in P^n
+and no dehomogenized chart ideal has a zero over the algebraic closure.  By
+the Nullstellensatz each chart ideal is then (1), and every chart degree is
+0 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 4.1).
+
 A node is a point with a nondegenerate chart Hessian.  By Euler's relation
 H(p) p = (d-1) grad f(p) = 0 at a singular point p, and H is symmetric, so
 the full projective Hessian has the same rank as the chart Hessian: a node
@@ -96,7 +102,8 @@ class SingularityReport:
 
     `complete` certifies that the listed nodes account for the entire
     Jacobian scheme (each with local multiplicity 1); `chart_degrees` are the
-    per-chart Artinian quotient degrees backing that certificate.
+    per-chart Artinian quotient degrees backing that certificate; for an
+    empty locus they are all 0 by Euler's relation, with no basis computed.
     `jacobian_quotient_degree` is the length of the Jacobian scheme, known
     only when `complete` (it is then the node count) and None otherwise: a
     chart degree misses the points on that chart's hyperplane at infinity,
@@ -145,10 +152,9 @@ def jacobian_ideal(f: MultiPoly) -> list:
 def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityReport:
     """Locus dimension, point verification/classification, completeness.
 
-    Candidates must lie on V(f) (error otherwise).  A candidate where some
-    partial is nonzero is not an error: it is flagged in `notes` and left
-    unverified.  Node classification requires all partials to vanish and the
-    projective Hessian to have rank arity - 1, both exactly over Q.
+    Candidates must be singular points of V(f): a candidate off V(f), or
+    one where some partial is nonzero, is an error.  Node classification
+    requires the projective Hessian to have rank arity - 1, exactly over Q.
     """
     partials = jacobian_ideal(f)
     arity = f.arity
@@ -164,11 +170,8 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
             )
         if f.evaluate(pt.coordinates) != 0:
             raise SingularError(f"candidate {pt} does not lie on the hypersurface")
-        gradient = [g.evaluate(pt.coordinates) for g in partials]
-        if any(gradient):
-            classified.append((pt, UNVERIFIED))
-            notes.append(f"candidate {pt} is a smooth point (nonzero gradient)")
-            continue
+        if any(g.evaluate(pt.coordinates) for g in partials):
+            raise SingularError(f"candidate {pt} is a smooth point of the hypersurface")
         if locus > 0:
             classified.append((pt, UNVERIFIED))
             continue
@@ -194,12 +197,12 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
             notes=tuple(notes),
         )
 
-    # degree accounting per affine chart
-    chart_degrees = []
-    for chart in range(arity):
-        chart_gens = [dehomogenize(g, chart) for g in partials if not g.is_zero]
-        gb = buchberger(chart_gens)
-        chart_degrees.append(len(standard_monomials(gb)))
+    # degree accounting per affine chart; an empty locus has unit chart ideals
+    chart_degrees = [0] * arity
+    if locus == 0:
+        for chart in range(arity):
+            chart_gens = [dehomogenize(g, chart) for g in partials if not g.is_zero]
+            chart_degrees[chart] = len(standard_monomials(buchberger(chart_gens)))
 
     nodes = [pt for pt, cls in classified if cls == NODE]
     visible = [sum(1 for pt in nodes if pt.coordinates[c]) for c in range(arity)]

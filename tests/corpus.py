@@ -1,6 +1,10 @@
-"""Shared fixtures: the small-ideal corpus and the nodal cubic threefold data."""
+"""Shared fixtures: the small-ideal and hypersurface corpora, the nodal cubic
+threefold data, and the benchmark's modules."""
 
+import importlib.util
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from flatobs.polyring import parse_poly, restrict_to_hyperplane
 from flatobs.singular import ProjectivePoint
@@ -38,6 +42,22 @@ def ideal_corpus():
     ]
 
 
+def hypersurface_corpus():
+    """Fixed corpus of hypersurfaces with every kind of singular locus."""
+    return [
+        ("segre", segre_cubic()),
+        ("fermat-cubic-threefold", P("x0^3+x1^3+x2^3+x3^3+x4^3", 5)),
+        ("line", P("x0+2x1", 2)),
+        ("smooth-conic", P("x0^2+x1^2-x2^2", 3)),
+        ("quadric-cone", P("x0^2+x1^2-x2^2", 4)),
+        ("triangle", P("x0*x1*x2", 3)),
+        ("cusp", P("x0^2*x2+x1^3", 3)),
+        ("nodal-cubic-curve", P("x1^2*x2-x0^3-x0^2*x2", 3)),
+        ("cone-over-cubic-curve", P("x0^3+x1^3+x2^3", 5)),
+        ("double-plane", P("x0^2", 3)),
+    ]
+
+
 def segre_cubic():
     """The nodal cubic threefold: sum of six cubes restricted to the sum-zero hyperplane."""
     f = P("x0^3+x1^3+x2^3+x3^3+x4^3+x5^3", 6)
@@ -52,3 +72,13 @@ def segre_nodes():
         coords6 = [-1 if i in negatives else 1 for i in range(6)]
         points.append(ProjectivePoint(coords6[:5]))
     return points
+
+
+def load_bench_module(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"flatobs_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module

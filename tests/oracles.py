@@ -11,6 +11,7 @@ intersections from Hirzebruch's chi_y generating function.
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
+from operator import neg
 
 from flatobs.polyring import MultiPoly
 
@@ -161,7 +162,7 @@ def zip_monomial_divides(a, b):
 
 
 def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def _in_field(p, modulus):
@@ -189,6 +190,10 @@ def _monic(p, modulus):
     return _in_field(p * _divide(1, p.terms[_lead(p)], modulus), modulus)
 
 
+def _lcm_degree(f, g):
+    return sum(map(max, _lead(f), _lead(g)))
+
+
 def naive_s_polynomial(f, g, modulus=None):
     """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the leading monomials."""
     lf, lg = _lead(f), _lead(g)
@@ -201,39 +206,51 @@ def naive_s_polynomial(f, g, modulus=None):
 def naive_normal_form(f, divisors, modulus=None):
     """Remainder of f by the division algorithm: the largest term first, each
     step by the first divisor in list order whose leading monomial divides it."""
-    remainder = MultiPoly.zero(f.arity)
-    f = _in_field(f, modulus)
-    while not f.is_zero:
-        m = _lead(f)
-        top = _term(f.arity, m, f.terms[m])
-        for g in divisors:
-            lg = _lead(g)
+    leads = [(_lead(g), g) for g in divisors]
+    arity = f.arity
+    f = dict(_in_field(f, modulus).terms)
+    remainder = {}
+    while f:
+        m = max(f, key=_grevlex_key)
+        c = f.pop(m)
+        for lg, g in leads:
             if all(a <= b for a, b in zip(lg, m)):
                 q = tuple(a - b for a, b in zip(m, lg))
-                step = _term(f.arity, q, _divide(f.terms[m], g.terms[lg], modulus))
-                f = _in_field(f - step * g, modulus)
+                k = _divide(c, g.terms[lg], modulus)
+                for gm, gc in g.terms.items():
+                    if gm != lg:
+                        t = tuple(a + b for a, b in zip(q, gm))
+                        v = f.get(t, 0) - k * gc
+                        v = v if modulus is None else v % modulus
+                        if v:
+                            f[t] = v
+                        else:
+                            f.pop(t, None)
                 break
         else:
-            remainder = remainder + top
-            f = f - top
-    return remainder
+            remainder[m] = c
+    return MultiPoly(arity, remainder)
 
 
 def naive_groebner(gens, modulus=None):
     """Reduced Gröbner basis, largest leading monomial first.
 
     Buchberger's algorithm with no pair criteria: every pair of the growing
-    list is reduced, and a nonzero remainder joins the list.  The result is
-    then minimalized and each tail replaced by its normal form.  Empty when
-    every generator vanishes (mod p).
+    list is reduced, one of least lcm degree first (the newest among those),
+    and a nonzero remainder joins the list.  The result is then minimalized
+    and each tail replaced by its normal form.  Empty when every generator
+    vanishes (mod p), and [1] as soon as a remainder is a nonzero constant.
     """
     reduced_gens = [_in_field(g, modulus) for g in gens]
     basis = [_monic(g, modulus) for g in reduced_gens if not g.is_zero]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
-        i, j = pairs.pop(0)
+        i, j = min(reversed(pairs), key=lambda ij: _lcm_degree(basis[ij[0]], basis[ij[1]]))
+        pairs.remove((i, j))
         s = naive_s_polynomial(basis[i], basis[j], modulus)
         r = naive_normal_form(s, basis, modulus)
+        if set(r.terms) == {(0,) * r.arity}:  # a unit: the ideal is (1)
+            return [_monic(r, modulus)]
         if not r.is_zero:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(_monic(r, modulus))
@@ -263,6 +280,27 @@ def naive_quotient_dimension(gens, modulus=None):
     if None in powers:
         return None
     return len(brute_standard_monomials(leads, arity, sum(powers)))
+
+
+def naive_chart_degrees(f):
+    """Per-chart quotient degree of the Jacobian ideal of a form f.
+
+    Chart c sets x_c = 1 in every partial of f and drops x_c; its degree is
+    `naive_quotient_dimension` of those generators, which is 0 for the unit
+    ideal.  Partials and charts are taken here term by term.
+    """
+    degrees = []
+    for chart in range(f.arity):
+        gens = []
+        for i in range(f.arity):
+            terms = {}
+            for m, c in f.terms.items():
+                if m[i]:
+                    key = tuple(e - (j == i) for j, e in enumerate(m) if j != chart)
+                    terms[key] = terms.get(key, 0) + m[i] * c
+            gens.append(MultiPoly(f.arity - 1, terms))
+        degrees.append(naive_quotient_dimension(gens))
+    return tuple(degrees)
 
 
 # -- Hodge numbers from the chi_y genus ----------------------------------------

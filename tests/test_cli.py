@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,9 +16,10 @@ from flatobs.cli import (
     validate_scenario,
 )
 
+from corpus import load_bench_module
+
 GOLDENS = ("segre", "degenerate_quadric", "smooth_cubic3fold")
 GOLDEN_DIR = Path(__file__).parent / "golden"
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +351,17 @@ def test_exit_code_one_on_computation_error(tmp_path, capsys):
     assert "error [polyring.parse]" in err
 
 
+def test_exit_code_one_on_smooth_candidate(tmp_path, capsys):
+    # the ten nodes of the Segre cubic plus the smooth point (1 : -1 : 0 : 0 : 0)
+    data = bundled_scenario("segre")
+    data["candidate_singular_points"].append(["1", "-1", "0", "0", "0", "0"])
+    code, out, err = run_cli(capsys, "analyze", write_scenario(tmp_path, data))
+    assert code == 1
+    assert out == ""
+    assert "error [singular.invalid]" in err
+    assert "smooth point" in err
+
+
 def test_exit_code_one_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent.json")
     assert code == 1
@@ -385,16 +395,6 @@ def test_load_scenario_validates(tmp_path):
 
 
 # -- bench trace bindings and answers ------------------------------------------
-
-def load_bench_module(name):
-    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
-    path = BENCH_DIR / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"flatobs_bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_tracer_bindings_resolve():
     # perfbench/run.py --trace 1 patches these names; a refactor that drops

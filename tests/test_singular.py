@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,8 @@ from flatobs.singular import (
     jacobian_ideal,
 )
 
-from oracles import brute_rank, expand_linear_power
+from corpus import hypersurface_corpus, load_bench_module
+from oracles import brute_rank, expand_linear_power, naive_chart_degrees
 
 
 def P(text, arity):
@@ -149,15 +151,18 @@ def test_candidate_off_hypersurface_is_an_error():
         analyze_singularities(segre_cubic(), [ProjectivePoint([1, 1, 1, 1, 1])])
 
 
-def test_smooth_candidate_flagged_not_error():
-    # (1 : -1 : 0 : 0 : 0) lies on the Segre cubic but is a smooth point
+@pytest.mark.parametrize("f, nodes", [
+    (segre_cubic(), []),
+    (segre_cubic(), segre_nodes()),
+    (P("x0^3+x1^3+x2^3+x3^3+x4^3", 5), []),
+], ids=["alone", "with-nodes", "smooth-hypersurface"])
+def test_smooth_candidate_is_an_error(f, nodes):
+    # (1 : -1 : 0 : 0 : 0) lies on both cubics but is a smooth point; it must
+    # not leave a complete node list uncertified
     pt = ProjectivePoint([1, -1, 0, 0, 0])
-    f = segre_cubic()
     assert f.evaluate(pt.coordinates) == 0
-    report = analyze_singularities(f, [pt])
-    assert report.points == ((pt, UNVERIFIED),)
-    assert any("smooth point" in note for note in report.notes)
-    assert report.complete is False
+    with pytest.raises(SingularError, match="smooth point"):
+        analyze_singularities(f, [*nodes, pt])
 
 
 def test_missing_node_detected():
@@ -215,6 +220,52 @@ def test_node_hessian_invariant():
         assert brute_rank(chart_hessian) == 4
 
 
+def sections_round_forms(seed):
+    """The smooth ops and the first nodal op of one bench `sections` round."""
+    ops = next(load_bench_module("workloads").rounds_for("sections", seed))
+    picked = [op for op in ops if op.cls == "smooth"]
+    picked.append(next(op for op in ops if op.cls == "nodal"))
+    forms = []
+    for op in picked:
+        data, arity = op.scenario, op.scenario["ambient_arity"]
+        variety, hyperplane = P(data["variety"], arity), P(data["hyperplane"], arity)
+        forms.append((op.cls, restrict_to_hyperplane(variety, hyperplane, data["eliminate"])))
+    return forms
+
+
+def test_chart_degrees_match_naive_route():
+    # an empty locus gets zero chart degrees with no basis computed; the
+    # oracle builds and counts every chart ideal
+    rounds = sections_round_forms(1)
+    assert [cls for cls, _ in rounds] == ["smooth"] * 3 + ["nodal"]
+    loci = set()
+    for name, f in [*hypersurface_corpus(), *rounds]:
+        report = analyze_singularities(f)
+        if report.locus_dimension <= 0:
+            loci.add(report.locus_dimension)
+            assert report.chart_degrees == naive_chart_degrees(f), name
+    assert loci == {-1, 0}
+
+
+def dense_quartic_surface(seed):
+    rng = random.Random(seed)
+    return MultiPoly(4, {m: rng.randint(-9, 9) for m in monomials_of_degree(4, 4)})
+
+
+@pytest.mark.parametrize("f, locus, calls", [
+    (dense_quartic_surface(0), -1, 1),  # the locus basis only
+    (segre_cubic(), 0, 6),  # the locus basis and one basis per chart
+    (P("x0^3+x1^3+x2^3", 5), 1, 1),  # a cone: no chart degrees at all
+], ids=["dense-quartic", "segre", "cone"])
+def test_chart_bases_only_for_isolated_points(f, locus, calls, monkeypatch):
+    moduli = recorded_moduli(monkeypatch)
+    report = analyze_singularities(f)
+    assert report.locus_dimension == locus
+    assert moduli == [None] * calls  # every basis over Q
+    if locus < 0:
+        assert report.chart_degrees == (0,) * f.arity
+
+
 def test_ordinary_quadric_node():
     # quadric cone in P^3 with apex (0:0:0:1): one ordinary double point
     f = P("x0^2+x1^2-x2^2", 4)
@@ -256,7 +307,7 @@ def exact_extendability(f):
 
 
 def recorded_moduli(monkeypatch):
-    """Patch the basis routine `extendability` calls and record each modulus."""
+    """Patch the basis routine of `singular` and record each call's modulus."""
     moduli = []
 
     def recording(gens, *args, **kwargs):
