@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import ToolError
 from .linalg import exact_rank
 from .obstruct import UNKNOWN, BettiVector
-from .polyring import MultiPoly, monomials_of_degree
+from .polyring import MultiPoly, clear_denominators, monomials_of_degree
 
 __all__ = [
     "BettiComputationError",
@@ -69,20 +70,18 @@ def conditions_degree(n: int, d: int) -> int:
 
 
 def evaluation_matrix(nodes, t: int) -> list:
-    """mu x C(N+t, t) matrix of all degree-t monomials evaluated at each node."""
+    """mu x C(N+t, t) matrix of all degree-t monomials evaluated at each node.
+
+    A node a / q (integers over one common denominator) gives the entry
+    a^m / q^t for the monomial x^m: integer products, one `Fraction` each.
+    """
     arity = len(nodes[0])
     monos = monomials_of_degree(arity, t)
     rows = []
     for node in nodes:
-        coords = node.coordinates
-        row = []
-        for mono in monos:
-            value = Fraction(1)
-            for x, e in zip(coords, mono):
-                if e:
-                    value *= x**e
-            row.append(value)
-        rows.append(row)
+        ints, q = clear_denominators(node.coordinates)
+        denominator = q**t
+        rows.append([Fraction(prod(map(pow, ints, mono)), denominator) for mono in monos])
     return rows
 
 

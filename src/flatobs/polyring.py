@@ -6,12 +6,19 @@ tuples with one entry per variable.  Coefficients are exact rationals
 Monomial arithmetic maps `operator` functions over the exponent tuples
 (``tuple(map(add, a, b))``); `idealcalc` writes the same form inline in the
 hot loops of its Gröbner kernel.
+
+Evaluation at a rational point runs in integers: the point is written as an
+integer vector over one common denominator (`clear_denominators`), the
+coefficients as integers over the lcm of theirs, and one `Fraction` is built
+at the end.  This is the fraction-free idea of Bareiss elimination (Math.
+Comp. 22 (1968)) that `linalg.exact_rank` uses.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add, le
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -22,6 +29,7 @@ __all__ = [
     "MultiPoly",
     "ParseError",
     "PolyringError",
+    "clear_denominators",
     "dehomogenize",
     "monomial_divides",
     "monomial_mul",
@@ -80,8 +88,18 @@ def monomials_of_degree(arity: int, degree: int) -> list[Monomial]:
 
 def _coerce_scalar(value) -> Fraction:
     if isinstance(value, float):
-        raise PolyringError("floating-point coefficients are not allowed")
-    return Fraction(value)
+        raise PolyringError(f"floating-point value {value!r} is not allowed")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise PolyringError(f"{value!r} is not a rational number") from None
+
+
+def clear_denominators(point: Sequence) -> tuple:
+    """(a, q): integers a_i and the lcm q of the denominators, with point = a / q."""
+    coords = [_coerce_scalar(v) for v in point]
+    q = lcm(*[x.denominator for x in coords])
+    return [x.numerator * (q // x.denominator) for x in coords], q
 
 
 class MultiPoly:
@@ -238,19 +256,32 @@ class MultiPoly:
         return MultiPoly(self.arity, acc)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point, summed in integers.
+
+        With point = a / q and coefficients c_m = n_m / L over their lcm L,
+        the value is sum_m n_m a^m q^(top-|m|) / (L q^top), where top is the
+        degree; only that last quotient is a `Fraction`.
+        """
         if len(point) != self.arity:
             raise PolyringError(
                 f"point has length {len(point)}, expected {self.arity}"
             )
-        coords = [_coerce_scalar(v) for v in point]
-        total = _ZERO
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(coords, m):
+        ints, q = clear_denominators(point)
+        if not self.terms:
+            return _ZERO
+        scale = lcm(*[c.denominator for c in self.terms.values()])
+        degrees = [sum(m) for m in self.terms]
+        top = max(degrees)
+        total = 0
+        for (m, c), deg in zip(self.terms.items(), degrees):
+            v = c.numerator * (scale // c.denominator)
+            for x, e in zip(ints, m):
                 if e:
                     v *= x**e
+            if deg != top:
+                v *= q ** (top - deg)
             total += v
-        return total
+        return Fraction(total, scale * q**top)
 
     # -- printing -----------------------------------------------------
 

@@ -66,7 +66,12 @@ class ProjectivePoint:
     __slots__ = ("coordinates",)
 
     def __init__(self, coordinates):
-        vals = tuple(Fraction(c) for c in coordinates)
+        try:
+            vals = tuple(Fraction(c) for c in coordinates)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SingularError(
+                f"projective coordinates must be rational numbers ({exc})"
+            ) from None
         if not vals:
             raise SingularError("projective point needs at least one coordinate")
         pivot = next((v for v in vals if v), None)

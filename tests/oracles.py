@@ -4,8 +4,9 @@ Everything here is deliberately naive and shares no code path with the
 package beyond `MultiPoly` arithmetic: multinomial expansion by enumeration,
 rank by plain fraction Gaussian elimination, monomial counting by direct
 iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
-exponent arithmetic by generators over `zip`, Hodge numbers of complete
-intersections from Hirzebruch's chi_y generating function.
+exponent arithmetic by generators over `zip`, point evaluation term by term
+in `Fraction`s, Hodge numbers of complete intersections from Hirzebruch's
+chi_y generating function.
 """
 
 from fractions import Fraction
@@ -153,6 +154,24 @@ def zip_monomial_mul(a, b):
 
 def zip_monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+# -- point evaluation ---------------------------------------------------------
+#
+# `MultiPoly.evaluate` in its first form: one `Fraction` power per exponent and
+# one `Fraction` sum per term.
+
+
+def naive_evaluate(p, point):
+    coords = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = c
+        for x, e in zip(coords, m):
+            if e:
+                v *= x**e
+        total += v
+    return total
 
 
 # -- Gröbner bases by plain Buchberger ---------------------------------------

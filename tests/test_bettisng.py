@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -15,18 +14,11 @@ from flatobs.bettisng import (
 )
 from flatobs.linalg import matrix_to_csv
 from flatobs.obstruct import UNKNOWN, BettiVector, Hypotheses, verdict_report
-from flatobs.polyring import MultiPoly, parse_poly
+from flatobs.polyring import MultiPoly, monomials_of_degree, parse_poly
 from flatobs.singular import ProjectivePoint
 
-from oracles import brute_rank, is_weakly_palindromic
-
-
-def segre_nodes():
-    points = []
-    for negatives in combinations(range(1, 6), 3):
-        coords6 = [-1 if i in negatives else 1 for i in range(6)]
-        points.append(ProjectivePoint(coords6[:5]))
-    return points
+from corpus import segre_nodes
+from oracles import brute_rank, is_weakly_palindromic, naive_evaluate
 
 
 def P(text, arity):
@@ -105,6 +97,20 @@ def test_defect_input_validation():
         defect([ProjectivePoint([1, 1]), ProjectivePoint([2, 2])], 1)
     with pytest.raises(BettiComputationError, match="inconsistent"):
         defect([ProjectivePoint([1, 1]), ProjectivePoint([1, 1, 1])], 1)
+
+
+def test_evaluation_matrix_matches_naive_evaluation():
+    rng = random.Random(20261019)
+
+    def coordinate():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 10**6))
+
+    for t in range(4):
+        nodes = [ProjectivePoint([coordinate() for _ in range(3)]) for _ in range(3)]
+        monos = monomials_of_degree(3, t)
+        expected = [[naive_evaluate(MultiPoly(3, {m: 1}), node.coordinates) for m in monos]
+                    for node in nodes]
+        assert evaluation_matrix(nodes, t) == expected
 
 
 def test_evaluation_matrix_csv_dump():

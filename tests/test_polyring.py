@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatobs.polyring import (
     MultiPoly,
     ParseError,
     PolyringError,
+    clear_denominators,
     dehomogenize,
     monomial_divides,
     monomial_mul,
@@ -16,8 +17,10 @@ from flatobs.polyring import (
     restrict_to_hyperplane,
 )
 
+from corpus import segre_cubic
 from oracles import (
     expand_linear_power,
+    naive_evaluate,
     zip_monomial_divides,
     zip_monomial_mul,
 )
@@ -223,13 +226,60 @@ def test_evaluate_accepts_strings():
     assert p.evaluate(["2/3", "3"]) == 2
 
 
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), "-2/3", 0, 5]) == ([3, -4, 0, 30], 6)
+    assert clear_denominators([1, -1]) == ([1, -1], 1)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", None], ids=["text", "zero-denominator", "none"])
+def test_evaluate_rejects_non_rational_coordinates(bad):
+    with pytest.raises(PolyringError, match="not a rational number"):
+        parse_poly("x0 + x1", 2).evaluate([bad, 1])
+
+
+def test_evaluate_rejects_float_coordinates():
+    with pytest.raises(PolyringError, match="floating-point"):
+        parse_poly("x0 + x1", 2).evaluate([0.5, 1])
+
+
+def wide_fractions(max_denominator):
+    return st.fractions(min_value=-10**6, max_value=10**6, max_denominator=max_denominator)
+
+
+coordinates = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=0, max_denominator=9),
+    wide_fractions(10**15),
+    wide_fractions(10**6).map(str),
+)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(p, point): p of arity 1-6 and degree <= 5, homogeneous or not, maybe 0."""
+    arity = draw(st.integers(min_value=1, max_value=6))
+    degree = draw(st.integers(min_value=0, max_value=5))
+    low = degree if draw(st.booleans()) else 0
+    monos = [m for d in range(low, degree + 1) for m in monomials_of_degree(arity, d)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), wide_fractions(10**9), max_size=8))
+    point = draw(st.lists(coordinates, min_size=arity, max_size=arity))
+    return MultiPoly(arity, terms), point
+
+
+@given(evaluation_cases())
+@example((MultiPoly.zero(3), [Fraction(-2, 7), "1/3", 0]))
+@example((MultiPoly.constant(1, Fraction(5, 3)), [Fraction(-2, 7)]))
+@example((parse_poly("x0^2 + x1 + 1", 2), [Fraction(1, 2), Fraction(1, 3)]))  # needs q^(top-|m|)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_naive_fraction_route(case):
+    p, point = case
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == naive_evaluate(p, point)
+
+
 # -- restriction ------------------------------------------------------
-
-def segre_restricted():
-    f = parse_poly("x0^3+x1^3+x2^3+x3^3+x4^3+x5^3", 6)
-    h = parse_poly("x0+x1+x2+x3+x4+x5", 6)
-    return restrict_to_hyperplane(f, h, 5)
-
 
 def test_restrict_segre_cubic_matches_multinomial_oracle():
     # independent oracle: re-expand (-(x0+..+x4))^3 term by term and add the cubes
@@ -238,7 +288,7 @@ def test_restrict_segre_cubic_matches_multinomial_oracle():
         mono = tuple(3 if j == i else 0 for j in range(5))
         expected_terms[mono] = expected_terms.get(mono, Fraction(0)) + 1
     expected = MultiPoly(5, expected_terms)
-    got = segre_restricted()
+    got = segre_cubic()
     assert got == expected
     assert got.is_homogeneous and got.degree == 3
 

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,31 +20,12 @@ from flatobs.singular import (
     jacobian_ideal,
 )
 
-from corpus import hypersurface_corpus, load_bench_module
+from corpus import hypersurface_corpus, load_bench_module, segre_cubic, segre_nodes
 from oracles import brute_rank, expand_linear_power, naive_chart_degrees
 
 
 def P(text, arity):
     return parse_poly(text, arity)
-
-
-def segre_cubic():
-    f = P("x0^3+x1^3+x2^3+x3^3+x4^3+x5^3", 6)
-    h = P("x0+x1+x2+x3+x4+x5", 6)
-    return restrict_to_hyperplane(f, h, 5)
-
-
-def segre_nodes():
-    """The 10 nodes: +-1 patterns with three -1 entries, pushed through x5-elimination.
-
-    Representatives are chosen with the sign pattern +1 in slot 0 (each
-    projective point corresponds to a complementary pair of patterns).
-    """
-    points = []
-    for negatives in combinations(range(1, 6), 3):
-        coords6 = [-1 if i in negatives else 1 for i in range(6)]
-        points.append(ProjectivePoint(coords6[:5]))
-    return points
 
 
 # -- ProjectivePoint ---------------------------------------------------
@@ -65,6 +45,12 @@ def test_point_rejects_zero_vector():
 def test_point_accepts_rational_strings():
     p = ProjectivePoint(["2/3", "1", "-1"])
     assert p.coordinates == (1, Fraction(3, 2), Fraction(-3, 2))
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", None], ids=["text", "zero-denominator", "none"])
+def test_point_rejects_non_rational_coordinates(bad):
+    with pytest.raises(SingularError, match="rational numbers"):
+        ProjectivePoint([bad, "1"])
 
 
 # -- jacobian ideal ----------------------------------------------------
