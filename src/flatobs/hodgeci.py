@@ -6,21 +6,27 @@ the Euler sequence and the conormal sequence give
 
     [Omega_X] = (N+1)[O(-1)] - [O] - sum_i [O(-d_i)].
 
-Primary route: exact Hirzebruch-Riemann-Roch in the truncated series ring
-Q[h]/(h^{n+1}), with three formulas read off that class (Hirzebruch,
+Primary route: that class expanded into line bundles in integers.  With
+L = [O(-1)],
+
+    sum_p [Lambda^p Omega_X] t^p = (1 + t L)^{N+1} / ((1 + t) prod_i (1 + t L^{d_i}))
+                                 = sum_{p,e} a_{p,e} t^p L^e,
+
+so chi_p = chi(Omega^p_X) = sum_e a_{p,e} chi(X, O(-e)).  Exact
+Hirzebruch-Riemann-Roch is needed only for the line bundles (Hirzebruch,
 Topological Methods in Algebraic Geometry, section 22):
 
-    sum_p ch(Lambda^p Omega_X) y^p = (1 + y e^{-h})^{N+1} / ((1 + y) prod_i (1 + y e^{-d_i h})),
+    chi(X, O(-e)) = deg(X) [h^n] e^{-e h} td(T_X),
     td(T_X) = B(h)^{N+1} / prod_i B(d_i h),  with B(h) = h / (1 - e^{-h}),
-    chi_p = chi(Omega^p_X) = deg(X) [h^n] ch(Lambda^p Omega_X) td(T_X).
 
-The last is a dot product of two series.  Middle Hodge numbers are
-recovered from the chi_p together with the hyperplane-section shape of the
-off-middle cohomology.
+one dot product with the Todd series in Q[h]/(h^{n+1}) per distinct e,
+each required to be an integer.  Middle Hodge numbers are recovered from
+the chi_p together with the hyperplane-section shape of the off-middle
+cohomology.
 
 The Euler characteristic takes a second route, deg(X) * [h^n] of the total
 Chern class (1+h)^{N+1} / prod_i (1 + d_i h); it shares only the series
-helpers and the K-class with HRR.
+helpers and the K-class with the Hodge route.
 
 Independent oracle (hypersurfaces only): the Griffiths residue description,
 counting bounded-exponent monomials in the graded pieces of the Jacobian
@@ -123,7 +129,7 @@ def _ser_inv(a):
     return out
 
 
-# -- the HRR pipeline --------------------------------------------------
+# -- the Hodge pipeline ------------------------------------------------
 
 def _factorials(prec):
     f = [1]
@@ -144,40 +150,40 @@ def _chern_total(md: Multidegree, prec: int):
     return c
 
 
-def _exterior_chern_characters(md: Multidegree, prec: int):
-    """ch(Lambda^p Omega_X) for p = 0..n, as series in h.
+def _line_bundle_expansion(md: Multidegree):
+    """[Lambda^p Omega_X] = sum_e a_{p,e} [O(-e)] for p = 0..n, as {e: a_{p,e}} dicts.
 
-    The coefficients of y^p in (1 + y e^{-h})^{N+1} are C(N+1, p) e^{-p h}.
-    Dividing by 1 + c y, for c = 1 and then c = e^{-d h} per degree d, is
-    the recurrence ch_p <- ch_p - c ch_{p-1} in increasing p.
+    With L = [O(-1)], the coefficient of t^p in (1 + t L)^{N+1} is
+    C(N+1, p) L^p.  Dividing by 1 + c t, for c = 1 and then c = L^d per
+    degree d, is the recurrence a_p <- a_p - c a_{p-1} in increasing p;
+    multiplying by L^d shifts e by d.
     """
-    fact = _factorials(prec)
-
-    def exp_neg(a):  # e^{-a h}
-        return [Fraction((-a) ** s, fact[s]) for s in range(prec)]
-
-    ch = [[comb(md.ambient + 1, p) * c for c in exp_neg(p)] for p in range(md.n + 1)]
-    for p in range(1, md.n + 1):
-        ch[p] = [a - b for a, b in zip(ch[p], ch[p - 1])]
-    for d in md.degrees:
-        shift = exp_neg(d)
+    a = [{p: comb(md.ambient + 1, p)} for p in range(md.n + 1)]
+    for shift in (0, *md.degrees):
         for p in range(1, md.n + 1):
-            ch[p] = [a - b for a, b in zip(ch[p], _ser_mul(shift, ch[p - 1]))]
-    return ch
+            row = a[p]
+            for e, c in a[p - 1].items():
+                row[e + shift] = row.get(e + shift, 0) - c
+    return [{e: c for e, c in row.items() if c} for row in a]
 
 
 def _todd_class(md: Multidegree, prec: int):
     """td(T_X) = B(h)^{N+1} / prod_i B(d_i h), with B(h) = h / (1 - e^{-h}).
 
-    1 / B(d h) = (1 - e^{-d h}) / (d h) is the series of 1 / B(h) with
-    coefficient s scaled by d^s.
+    B(h)^{N+1} is taken by repeated squaring.  1 / B(d h) = (1 - e^{-d h}) / (d h)
+    is the series of 1 / B(h) with coefficient s scaled by d^s.
     """
     fact = _factorials(prec + 1)
     inverse_b = [Fraction((-1) ** s, fact[s + 1]) for s in range(prec)]
-    b = _ser_inv(inverse_b)
+    power = _ser_inv(inverse_b)
     td = _ser(prec, 1)
-    for _ in range(md.ambient + 1):
-        td = _ser_mul(td, b)
+    exponent = md.ambient + 1
+    while exponent:
+        if exponent & 1:
+            td = _ser_mul(td, power)
+        exponent >>= 1
+        if exponent:
+            power = _ser_mul(power, power)
     for d in md.degrees:
         td = _ser_mul(td, [c * d**s for s, c in enumerate(inverse_b)])
     return td
@@ -235,17 +241,21 @@ class HodgeLevel:
 
 
 def hodge_diamond(md: Multidegree) -> HodgeDiamond:
-    """Middle Hodge numbers via exact power-series Hirzebruch-Riemann-Roch."""
+    """Middle Hodge numbers from chi(Omega^p_X) = sum_e a_{p,e} chi(X, O(-e))."""
     n = md.n
-    prec = n + 1
     degree = prod(md.degrees)
-    todd = _todd_class(md, prec)
-    middle = []
-    for p, ch in enumerate(_exterior_chern_characters(md, prec)):
-        chi = degree * sum(a * b for a, b in zip(ch, reversed(todd)))
+    fact = _factorials(n + 1)
+    todd = _todd_class(md, n + 1)
+    expansion = _line_bundle_expansion(md)
+    line_chi = {}  # e -> chi(X, O(-e)) = deg(X) [h^n] e^{-e h} td(T_X)
+    for e in sorted(set().union(*expansion)):
+        chi = degree * sum(Fraction((-e) ** s, fact[s]) * todd[n - s] for s in range(n + 1))
         if chi.denominator != 1:
-            raise HodgeError(f"chi_{p} is not an integer for {md.label()}: {chi}")
-        chi = int(chi)
+            raise HodgeError(f"chi(O({-e})) is not an integer for {md.label()}: {chi}")
+        line_chi[e] = int(chi)
+    middle = []
+    for p, row in enumerate(expansion):
+        chi = sum(a * line_chi[e] for e, a in row.items())
         chi_trivial = (-1) ** p if 2 * p != n else 0
         h = (-1) ** (n - p) * (chi - chi_trivial)
         if h < 0:

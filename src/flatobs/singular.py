@@ -66,6 +66,10 @@ class ProjectivePoint:
     __slots__ = ("coordinates",)
 
     def __init__(self, coordinates):
+        coordinates = tuple(coordinates)
+        for c in coordinates:
+            if isinstance(c, float):
+                raise SingularError(f"floating-point value {c!r} is not allowed")
         try:
             vals = tuple(Fraction(c) for c in coordinates)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

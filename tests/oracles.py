@@ -6,7 +6,8 @@ rank by plain fraction Gaussian elimination, monomial counting by direct
 iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
 exponent arithmetic by generators over `zip`, point evaluation term by term
 in `Fraction`s, Hodge numbers of complete intersections from Hirzebruch's
-chi_y generating function.
+chi_y generating function, the Chern characters ch(Lambda^p Omega_X) as
+`Fraction` series in h, and the Hodge level from the coniveau formula.
 """
 
 from fractions import Fraction
@@ -376,3 +377,51 @@ def chi_y_middle_hodge(md):
         chi = [c + value * scale * b for c, b in zip(chi, basis)]
     trivial = [0 if 2 * p == n else (-1) ** p for p in range(n + 1)]
     return tuple((-1) ** (n - p) * (chi[p] - trivial[p]) for p in range(n + 1))
+
+
+# -- Chern characters of the exterior powers of Omega_X ------------------------
+#
+# `hodgeci`'s first K-theory route: the same class
+# [Omega_X] = (N+1)[O(-1)] - [O] - sum_i [O(-d_i)], pushed through ch as
+# `Fraction` series in the hyperplane class h instead of expanded into line
+# bundles.
+
+
+def exterior_chern_characters(md, prec):
+    """ch(Lambda^p Omega_X) for p = 0..n, as series in h truncated at h^{prec-1}.
+
+    The coefficients of y^p in (1 + y e^{-h})^{N+1} are C(N+1, p) e^{-p h}.
+    Dividing by 1 + c y, for c = 1 and then c = e^{-d h} per degree d, is
+    the recurrence ch_p <- ch_p - c ch_{p-1} in increasing p.
+    """
+
+    def exp_neg(a):  # e^{-a h}
+        return [Fraction((-a) ** s, factorial(s)) for s in range(prec)]
+
+    def mul(s, t):
+        return [sum(s[i] * t[m - i] for i in range(m + 1)) for m in range(prec)]
+
+    ch = [[comb(md.ambient + 1, p) * c for c in exp_neg(p)] for p in range(md.n + 1)]
+    for p in range(1, md.n + 1):
+        ch[p] = [a - b for a, b in zip(ch[p], ch[p - 1])]
+    for d in md.degrees:
+        shift = exp_neg(d)
+        for p in range(1, md.n + 1):
+            ch[p] = [a - b for a, b in zip(ch[p], mul(shift, ch[p - 1]))]
+    return ch
+
+
+# -- Hodge level in closed form -------------------------------------------------
+
+
+def coniveau_level(md):
+    """Hodge level of the smooth complete intersection `md`, or None if constant.
+
+    The coniveau is c = max(0, ceil((n + k + 1 - sum d_i) / max d_i)) and the
+    level is n - 2c, constant when that is negative (Deligne, SGA 7 II,
+    Exp. XI).
+    """
+    excess = md.n + md.k + 1 - sum(md.degrees)
+    coniveau = max(0, -(-excess // max(md.degrees)))
+    level = md.n - 2 * coniveau
+    return level if level >= 0 else None

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from flatobs.hodgeci import (
@@ -10,8 +13,14 @@ from flatobs.hodgeci import (
     linear_system_dim,
     scan_level1,
 )
+from flatobs.hodgeci import _line_bundle_expansion
 
-from oracles import chi_y_middle_hodge, count_bounded_monomials
+from oracles import (
+    chi_y_middle_hodge,
+    coniveau_level,
+    count_bounded_monomials,
+    exterior_chern_characters,
+)
 
 
 def md(n, *degrees):
@@ -120,6 +129,14 @@ def test_levels():
     assert hodge_diamond(md(4, 3)).level().value == 2
 
 
+def test_level_matches_coniveau_closed_form():
+    # every multidegree of every bench scan box, against Deligne's coniveau
+    cases = list(box_multidegrees(n_max=9, d_max=6, k_max=4))
+    assert len(cases) == 1125
+    for m in cases:
+        assert hodge_diamond(m).level().value == coniveau_level(m), m.label()
+
+
 def test_quadric_intersections_level_pattern():
     # all-quadric families with odd n: level 1 exactly when k in {2, 3}
     for n in (3, 5):
@@ -216,3 +233,22 @@ def test_chi_y_oracle_agreement_complete_intersections():
 
 def test_chi_y_oracle_v3_23_anchor():
     assert sum(chi_y_middle_hodge(md(3, 2, 3))) == 40
+
+
+# -- line-bundle expansion against the Chern-character series ---------------------
+
+def test_line_bundle_expansion_matches_chern_character_oracle():
+    # sum_e a_{p,e} e^{-e h}, truncated at h^n, is ch(Lambda^p Omega_X)
+    cases = list(box_multidegrees(n_max=7, d_max=5, k_max=3))
+    assert len(cases) == 238
+    for m in cases:
+        prec = m.n + 1
+        expected = exterior_chern_characters(m, prec)
+        expansion = _line_bundle_expansion(m)
+        assert len(expansion) == len(expected) == prec
+        for p, row in enumerate(expansion):
+            series = [
+                sum(Fraction(a * (-e) ** s, factorial(s)) for e, a in row.items())
+                for s in range(prec)
+            ]
+            assert series == expected[p], (m.label(), p)

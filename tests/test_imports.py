@@ -1,5 +1,6 @@
-"""Every import in the package and its tests is used, and every private
-module-level function or class of the package is read in its own module."""
+"""Every import in the package and its tests is used, every private
+module-level function or class of the package is read in its own module, and
+every public function of the shared test modules is read by some test file."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/flatobs/*.py"))
 FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
+TEST_FILES = sorted(ROOT.glob("tests/test_*.py"))
+SHARED = [ROOT / "tests" / "oracles.py", ROOT / "tests" / "corpus.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -55,6 +58,28 @@ def unread_private_definitions(source: str) -> list:
     ]
 
 
+def names_read(source: str) -> set:
+    """Every name loaded in the module, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_public_functions(source: str, read: set) -> list:
+    """Module-level public functions of `source` whose name is not in `read`."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
 def test_scan_covers_package_and_tests():
     names = {path.name for path in FILES}
     assert {"idealcalc.py", "cli.py", "test_imports.py", "oracles.py"} <= names
@@ -87,3 +112,24 @@ def test_private_scan_finds_unread_definitions():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_private_definitions(path):
     assert unread_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+def test_public_scan_finds_unread_functions():
+    helpers = (
+        "def oracle():\n    return 1\n\n"
+        "def dead_oracle():\n    return oracle()\n\n"
+        "def _private():\n    pass\n\n"
+        "class Helper:\n    def method(self):\n        pass\n\n"
+        "def by_attribute():\n    pass\n"
+    )
+    tests = (
+        "import helpers\nfrom helpers import oracle\n\n"
+        "def test():\n    oracle()\n    helpers.by_attribute()\n"
+    )
+    assert unread_public_functions(helpers, names_read(tests)) == [("dead_oracle", 4)]
+
+
+@pytest.mark.parametrize("path", SHARED, ids=lambda p: p.name)
+def test_no_unread_shared_test_functions(path):
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in TEST_FILES))
+    assert unread_public_functions(path.read_text(encoding="utf-8"), read) == []

@@ -53,6 +53,13 @@ def test_point_rejects_non_rational_coordinates(bad):
         ProjectivePoint([bad, "1"])
 
 
+def test_point_rejects_float_coordinates():
+    # a float would become a binary fraction: 0.1 is 3602879701896397/2^55
+    with pytest.raises(SingularError, match=r"floating-point value 0\.1 is not allowed") as err:
+        ProjectivePoint([0.1, 1])
+    assert err.value.code == "singular.invalid"
+
+
 # -- jacobian ideal ----------------------------------------------------
 
 def test_fermat_jacobian():
