@@ -47,15 +47,6 @@ class DefectReport:
     defect: int
     b_above_middle: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "node_count": self.node_count,
-            "imposed_rank": self.imposed_rank,
-            "defect": self.defect,
-            "b_above_middle": self.b_above_middle,
-        }
-
 
 def conditions_degree(n: int, d: int) -> int:
     """Conditions degree t for nodes on a degree-d section of odd dimension n.
@@ -115,14 +106,12 @@ def defect(nodes, t: int) -> DefectReport:
     )
 
 
-def betti_vector_nodal(smooth: BettiVector, report) -> BettiVector:
+def betti_vector_nodal(smooth: BettiVector, report: DefectReport) -> BettiVector:
     """Betti vector of the nodal section from the smooth member's vector.
 
     Only b_n (set to UNKNOWN; no verdict consumes it) and b_{n+1} (set to
-    1 + defect) change.  `report=None` is the smooth passthrough.
+    1 + defect) change.
     """
-    if report is None:
-        return smooth
     n = smooth.n
     if n % 2 == 0:
         raise BettiComputationError(f"nodal Betti vectors need odd dimension, got n={n}")
@@ -144,13 +133,6 @@ class QuadricAnalysis:
     rank: int
     reduced: bool
     components_of_section: object
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "reduced": self.reduced,
-            "components_of_section": self.components_of_section,
-        }
 
 
 def gram_matrix(q: MultiPoly) -> list:

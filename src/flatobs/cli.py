@@ -2,9 +2,12 @@
 
 `analyze` ingests a scenario JSON (`validate_scenario` is the format's
 spec), runs the pipeline (restrict -> singularity certificate -> Betti
-assembly -> verdict), and emits a report as text or JSON that is
-deterministic apart from `timing_seconds`.  Partial failures annotate
-the report instead of aborting when downstream steps are independent.
+assembly -> verdict), and emits a report as text or JSON.  `run` is a
+pure function of the scenario: it reads no clock and touches no file, so
+the same scenario always gives the same report.  The subcommands do the
+I/O around it, such as the `--dump-matrix` CSV.  Partial failures
+annotate the report instead of aborting when downstream steps are
+independent.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -15,7 +18,7 @@ import argparse
 import json
 import re
 import sys
-import time
+from dataclasses import asdict
 from importlib import resources
 
 from . import __version__
@@ -48,7 +51,7 @@ from .obstruct import (
 from .polyring import parse_poly, restrict_to_hyperplane
 from .singular import ProjectivePoint, analyze_singularities, extendability
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 SCAN_CONVENTIONS = [
     "box-relative: the classification is certified only inside the stated box",
@@ -187,14 +190,19 @@ def bundled_scenario(name: str) -> dict:
 # -- verdict assembly --------------------------------------------------
 
 
+def _level_label(diamond) -> int | str:
+    level = diamond.level()
+    return "constant" if level is None else level
+
+
 def _smooth_family(md: Multidegree, hypotheses: Hypotheses, annotations):
     """Hodge diamond and Betti vector of the smooth member, built once.
 
     The Hodge level is annotated as evidence for the abelian_scheme assertion.
     """
     diamond = hodge_diamond(md)
-    level = diamond.level()
-    if not level.is_constant and level.value == 1:
+    level = _level_label(diamond)
+    if level == 1:
         annotations.append(
             f"abelian_scheme assertion corroborated: {md.label()} has Hodge level 1"
         )
@@ -227,7 +235,7 @@ def _verdict_tail(bv, smooth_bv: BettiVector, hypotheses: Hypotheses, pipeline, 
     if fiber_dim is not None:
         table = {(j, 2 * fiber_dim - 1): ih.dims[j] for j in range(1, bv.n + 1)}
         result = corob_check(table, fiber_dim)
-        pipeline["corob"] = result.to_json_dict()
+        pipeline["corob"] = asdict(result)
     else:
         annotations.append(
             "fiber dimension unavailable (odd middle Betti number); vanishing table skipped"
@@ -237,11 +245,11 @@ def _verdict_tail(bv, smooth_bv: BettiVector, hypotheses: Hypotheses, pipeline, 
 
 # -- pipelines ----------------------------------------------------------
 #
-# Every runner takes (data, hypotheses, dump_matrix) and returns
+# Every runner takes (data, hypotheses) and returns
 # (pipeline, verdict dict or None, annotations).
 
 
-def _run_hypersurface_section(data: dict, hypotheses: Hypotheses, dump_matrix):
+def _run_hypersurface_section(data: dict, hypotheses: Hypotheses):
     pipeline: dict = {}
     annotations: list = []
     arity = data["ambient_arity"]
@@ -286,14 +294,8 @@ def _run_hypersurface_section(data: dict, hypotheses: Hypotheses, dump_matrix):
         bv = smooth_bv
         annotations.append("section is smooth; using the smooth family Betti vector")
     elif report.locus_dimension <= 0 and report.complete:
-        t = conditions_degree(n, d)
-        nodes = report.nodes()
-        defect_report = defect(nodes, t)
-        pipeline["defect"] = defect_report.to_json_dict()
-        if dump_matrix:
-            with open(dump_matrix, "w", encoding="utf-8") as handle:
-                handle.write(matrix_to_csv(evaluation_matrix(nodes, t)))
-            annotations.append(f"evaluation matrix written to {dump_matrix}")
+        defect_report = defect(report.nodes(), conditions_degree(n, d))
+        pipeline["defect"] = asdict(defect_report)
         bv = betti_vector_nodal(smooth_bv, defect_report)
     else:
         annotations.append(
@@ -304,7 +306,7 @@ def _run_hypersurface_section(data: dict, hypotheses: Hypotheses, dump_matrix):
     return pipeline, _verdict_tail(bv, smooth_bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_quadric_section(data: dict, hypotheses: Hypotheses, dump_matrix):
+def _run_quadric_section(data: dict, hypotheses: Hypotheses):
     pipeline: dict = {}
     annotations: list = []
     quadric = parse_poly(data["quadric"], data["arity"])
@@ -313,7 +315,7 @@ def _run_quadric_section(data: dict, hypotheses: Hypotheses, dump_matrix):
         quadric,
         components_smooth_and_distinct=flags["components_smooth_and_distinct"],
     )
-    pipeline["quadric"] = analysis.to_json_dict()
+    pipeline["quadric"] = asdict(analysis)
 
     md = _need_multidegree(data["smooth_family"], "scenario.smooth_family")
     n = md.n
@@ -347,22 +349,21 @@ def _run_quadric_section(data: dict, hypotheses: Hypotheses, dump_matrix):
     return pipeline, _verdict_tail(bv, smooth_bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_smooth_ci(data: dict, hypotheses: Hypotheses, dump_matrix):
+def _run_smooth_ci(data: dict, hypotheses: Hypotheses):
     pipeline: dict = {}
     annotations: list = []
     md = _need_multidegree(data, "scenario")
     diamond, bv = _smooth_family(md, hypotheses, annotations)
-    level = diamond.level()
     pipeline["hodge"] = {
         "label": md.label(),
         "middle": list(diamond.middle),
-        "level": "constant" if level.is_constant else level.value,
+        "level": _level_label(diamond),
         "euler": diamond.euler(),
     }
     return pipeline, _verdict_tail(bv, bv, hypotheses, pipeline, annotations), annotations
 
 
-def _run_level1_scan(data: dict, hypotheses, dump_matrix):
+def _run_level1_scan(data: dict, hypotheses):
     found = scan_level1(data["n_max"], data["d_max"], data["k_max"])
     pipeline = {
         "box": {"n_max": data["n_max"], "d_max": data["d_max"], "k_max": data["k_max"]},
@@ -374,7 +375,7 @@ def _run_level1_scan(data: dict, hypotheses, dump_matrix):
     return pipeline, None, []
 
 
-def _run_extendability(data: dict, hypotheses, dump_matrix):
+def _run_extendability(data: dict, hypotheses):
     poly = parse_poly(data["polynomial"], data["arity"])
     result = extendability(poly)
     pipeline = {"extendable": result, "arity": data["arity"]}
@@ -391,13 +392,12 @@ KINDS = {
 }
 
 
-def run(data: dict, dump_matrix=None) -> dict:
-    """Execute a validated scenario and assemble the full report."""
+def run(data: dict) -> dict:
+    """Validate a scenario, execute it and assemble the full report."""
     data = validate_scenario(data)
-    start = time.perf_counter()
     runner, has_verdict = KINDS[data["kind"]]
     hypotheses = _need_hypotheses(data, "scenario") if has_verdict else None
-    pipeline, verdict_json, annotations = runner(data, hypotheses, dump_matrix)
+    pipeline, verdict_json, annotations = runner(data, hypotheses)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "flatobs", "version": __version__},
@@ -405,7 +405,6 @@ def run(data: dict, dump_matrix=None) -> dict:
         "pipeline": pipeline,
         "verdict": verdict_json,
         "annotations": annotations,
-        "timing_seconds": round(time.perf_counter() - start, 6),
     }
 
 
@@ -508,8 +507,21 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    data = load_scenario(args.scenario)
-    report = run(data, dump_matrix=args.dump_matrix)
+    report = run(load_scenario(args.scenario))
+    pipeline = report["pipeline"]
+    if args.dump_matrix and "defect" in pipeline:
+        nodes = [
+            ProjectivePoint(pt["coordinates"])
+            for pt in pipeline["singularities"]["points"]
+            if pt["classification"] == "node"
+        ]
+        text = matrix_to_csv(evaluation_matrix(nodes, pipeline["defect"]["t"]))
+        try:
+            with open(args.dump_matrix, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write matrix file {args.dump_matrix!r}: {exc}") from exc
+        report["annotations"].append(f"evaluation matrix written to {args.dump_matrix}")
     _emit(report, args.format)
     return 0
 
@@ -521,14 +533,13 @@ def _cmd_hodge(args) -> int:
         raise CliError(f"--degrees must be a comma-separated integer list: {exc}") from exc
     md = Multidegree(args.n, degrees)
     diamond = hodge_diamond(md)
-    level = diamond.level()
     payload = {
         "label": md.label(),
         "n": md.n,
         "degrees": list(md.degrees),
         "middle": list(diamond.middle),
         "betti": diamond.betti_list(),
-        "level": "constant" if level.is_constant else level.value,
+        "level": _level_label(diamond),
         "euler": diamond.euler(),
     }
     if args.format == "json":
@@ -543,7 +554,7 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_scan_level1(args) -> int:
-    data = validate_scenario(
+    report = run(
         {
             "schema_version": 1,
             "name": f"scan-n{args.n_max}-d{args.d_max}-k{args.k_max}",
@@ -553,7 +564,6 @@ def _cmd_scan_level1(args) -> int:
             "k_max": args.k_max,
         }
     )
-    report = run(data)
     _emit(report, args.format)
     return 0
 
@@ -564,7 +574,7 @@ def _cmd_extendability(args) -> int:
             text = handle.read().strip()
     except OSError as exc:
         raise CliError(f"cannot read polynomial file {args.poly_file!r}: {exc}") from exc
-    data = validate_scenario(
+    report = run(
         {
             "schema_version": 1,
             "name": f"extendability-{args.poly_file}",
@@ -573,7 +583,6 @@ def _cmd_extendability(args) -> int:
             "polynomial": text,
         }
     )
-    report = run(data)
     _emit(report, args.format)
     return 0
 

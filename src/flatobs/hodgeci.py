@@ -25,8 +25,8 @@ the chi_p together with the hyperplane-section shape of the off-middle
 cohomology.
 
 The Euler characteristic takes a second route, deg(X) * [h^n] of the total
-Chern class (1+h)^{N+1} / prod_i (1 + d_i h); it shares only the series
-helpers and the K-class with the Hodge route.
+Chern class (1+h)^{N+1} / prod_i (1 + d_i h) expanded in integers; it shares
+only the K-class with the Hodge route.
 
 Independent oracle (hypersurfaces only): the Griffiths residue description,
 counting bounded-exponent monomials in the graded pieces of the Jacobian
@@ -46,7 +46,6 @@ from .obstruct import BettiVector
 __all__ = [
     "HodgeDiamond",
     "HodgeError",
-    "HodgeLevel",
     "Multidegree",
     "betti_vector_smooth",
     "euler_characteristic",
@@ -95,13 +94,6 @@ class Multidegree:
 
 # -- truncated power series over Q ------------------------------------
 
-def _ser(prec, const=0):
-    s = [Fraction(0)] * prec
-    if const:
-        s[0] = Fraction(const)
-    return s
-
-
 def _ser_mul(a, b):
     prec = len(a)
     out = [Fraction(0)] * prec
@@ -138,15 +130,16 @@ def _factorials(prec):
     return f
 
 
-def _chern_total(md: Multidegree, prec: int):
-    """Total Chern class of T_X as a series in the hyperplane class h."""
-    amb = md.ambient
-    c = [Fraction(comb(amb + 1, i)) if i <= amb + 1 else Fraction(0) for i in range(prec)]
+def _chern_total(md: Multidegree, prec: int) -> list:
+    """Total Chern class of T_X as an integer series in the hyperplane class h.
+
+    (1+h)^{N+1} has coefficients C(N+1, j); dividing by 1 + d h is the
+    recurrence c_j <- c_j - d c_{j-1} in increasing j.
+    """
+    c = [comb(md.ambient + 1, j) for j in range(prec)]
     for d in md.degrees:
-        line = _ser(prec, 1)
-        if prec > 1:
-            line[1] = Fraction(d)
-        c = _ser_mul(c, _ser_inv(line))
+        for j in range(1, prec):
+            c[j] -= d * c[j - 1]
     return c
 
 
@@ -176,7 +169,7 @@ def _todd_class(md: Multidegree, prec: int):
     fact = _factorials(prec + 1)
     inverse_b = [Fraction((-1) ** s, fact[s + 1]) for s in range(prec)]
     power = _ser_inv(inverse_b)
-    td = _ser(prec, 1)
+    td = [Fraction(1)] + [Fraction(0)] * (prec - 1)
     exponent = md.ambient + 1
     while exponent:
         if exponent & 1:
@@ -220,24 +213,11 @@ class HodgeDiamond:
     def euler(self) -> int:
         return sum((-1) ** m * self.betti(m) for m in range(2 * self.n + 1))
 
-    def level(self) -> "HodgeLevel":
+    def level(self) -> int | None:
+        """Max |p - q| over nonzero primitive middle Hodge numbers; None = constant."""
         prim = self.primitive_middle()
         spreads = [abs(2 * p - self.n) for p, h in enumerate(prim) if h]
-        return HodgeLevel(max(spreads) if spreads else None)
-
-
-@dataclass(frozen=True)
-class HodgeLevel:
-    """Max |p - q| over nonzero primitive middle Hodge numbers; None = constant."""
-
-    value: object
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is None
-
-    def __str__(self) -> str:
-        return "constant" if self.is_constant else str(self.value)
+        return max(spreads) if spreads else None
 
 
 def hodge_diamond(md: Multidegree) -> HodgeDiamond:
@@ -269,11 +249,7 @@ def hodge_diamond(md: Multidegree) -> HodgeDiamond:
 
 def euler_characteristic(md: Multidegree) -> int:
     """Topological Euler characteristic: deg(X) * [h^n] c(T_X)."""
-    chern = _chern_total(md, md.n + 1)
-    value = prod(md.degrees) * chern[md.n]
-    if value.denominator != 1:
-        raise HodgeError(f"non-integer Euler characteristic for {md.label()}")
-    return int(value)
+    return prod(md.degrees) * _chern_total(md, md.n + 1)[md.n]
 
 
 def griffiths_middle_hodge(d: int, n: int) -> tuple:
@@ -333,7 +309,6 @@ def scan_level1(n_max: int, d_max: int, k_max: int) -> list:
         for k in range(1, k_max + 1):
             for degrees in combinations_with_replacement(range(2, d_max + 1), k):
                 md = Multidegree(n, degrees)
-                level = hodge_diamond(md).level()
-                if not level.is_constant and level.value == 1:
+                if hodge_diamond(md).level() == 1:
                     found.append(md)
     return sorted(found)

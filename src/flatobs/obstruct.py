@@ -11,8 +11,7 @@ that a compactification exists.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
 
 from .errors import ToolError
 
@@ -105,9 +104,6 @@ class Hypotheses:
     H_nonconstant: bool
     abelian_scheme: bool
 
-    def to_json_dict(self) -> dict:
-        return {"H_nonconstant": self.H_nonconstant, "abelian_scheme": self.abelian_scheme}
-
 
 @dataclass(frozen=True)
 class IHProfile:
@@ -194,12 +190,13 @@ def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
         "witnesses": [
             {"k": k, "b_plus": b.b(b.n + k), "b_minus": b.b(b.n - k)} for k in evidence
         ],
-        "hypotheses": hypotheses.to_json_dict(),
+        "hypotheses": asdict(hypotheses),
         "disclaimer": DISCLAIMER,
     }
 
 
-class VanishingWitness(NamedTuple):
+@dataclass(frozen=True)
+class VanishingWitness:
     """Nonvanishing table entry that triggers an exclusion."""
 
     j: int
@@ -213,16 +210,6 @@ class CorobResult:
     flat_excluded: bool
     irreducible_excluded: bool
     witnesses: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "flat_excluded": self.flat_excluded,
-            "irreducible_excluded": self.irreducible_excluded,
-            "witnesses": [
-                {"j": w.j, "k": w.k, "dim": w.dim, "reason": w.reason}
-                for w in self.witnesses
-            ],
-        }
 
 
 def corob_check(ih_table: dict, n: int) -> CorobResult:

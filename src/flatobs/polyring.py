@@ -87,6 +87,8 @@ def monomials_of_degree(arity: int, degree: int) -> list[Monomial]:
 
 
 def _coerce_scalar(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise PolyringError(f"floating-point value {value!r} is not allowed")
     try:

@@ -133,11 +133,6 @@ def test_zero_defect_keeps_palindromic_shape():
     assert vector.entries == (1, 0, 1, UNKNOWN, 1, 0, 1)
 
 
-def test_smooth_passthrough():
-    smooth = BettiVector(3, (1, 0, 1, 10, 1, 0, 1))
-    assert betti_vector_nodal(smooth, None) is smooth
-
-
 def test_even_dimension_rejected():
     smooth = BettiVector(2, (1, 0, 7, 0, 1))
     with pytest.raises(BettiComputationError, match="odd"):

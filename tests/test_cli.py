@@ -1,4 +1,7 @@
+import builtins
+import inspect
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -147,9 +150,8 @@ def test_smooth_golden_report():
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_golden_reports_match_pinned_output(name):
-    # tests/golden holds whole reports (JSON without timing_seconds, and text)
+    # tests/golden holds whole reports, as JSON and as text
     report = run(bundled_scenario(name))
-    report.pop("timing_seconds")
     pinned = GOLDEN_DIR / name
     assert json.dumps(report, indent=2) + "\n" == pinned.with_suffix(".json").read_text("utf-8")
     assert render_text(report) == pinned.with_suffix(".txt").read_text("utf-8")
@@ -170,11 +172,24 @@ def test_one_hodge_diamond_per_op(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", GOLDENS)
+def test_run_reads_no_clock_and_opens_no_file(name, monkeypatch):
+    data = bundled_scenario(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run read the clock or opened a file")
+
+    for owner, attr in ((builtins, "open"), (time, "perf_counter"), (time, "time"),
+                        (time, "monotonic"), (time, "process_time")):
+        monkeypatch.setattr(owner, attr, refuse)
+    run(data)
+    monkeypatch.undo()
+    assert list(inspect.signature(run).parameters) == ["data"]
+
+
 def test_reports_are_deterministic():
     one = run(bundled_scenario("segre"))
     two = run(bundled_scenario("segre"))
-    one.pop("timing_seconds")
-    two.pop("timing_seconds")
     assert json.dumps(one) == json.dumps(two)
 
 
@@ -216,10 +231,14 @@ def test_non_isolated_section_annotated_without_verdict():
     assert any("verdict unavailable" in note for note in report["annotations"])
 
 
-def test_incomplete_certificate_blocks_defect():
+def incomplete_segre():
     data = bundled_scenario("segre")
     data["candidate_singular_points"] = data["candidate_singular_points"][:9]
-    report = run(data)
+    return data
+
+
+def test_incomplete_certificate_blocks_defect():
+    report = run(incomplete_segre())
     assert report["pipeline"]["singularities"]["complete"] is False
     assert "defect" not in report["pipeline"]
     assert report["verdict"] is None
@@ -274,13 +293,62 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "delta=5" in out
 
 
+SEGRE_MATRIX_CSV = (
+    "1,-1,-1,-1,1\n"
+    "1,-1,-1,1,-1\n"
+    "1,-1,-1,1,1\n"
+    "1,-1,1,-1,-1\n"
+    "1,-1,1,-1,1\n"
+    "1,-1,1,1,-1\n"
+    "1,1,-1,-1,-1\n"
+    "1,1,-1,-1,1\n"
+    "1,1,-1,1,-1\n"
+    "1,1,1,-1,-1\n"
+)
+
+
 def test_analyze_dump_matrix(tmp_path, capsys):
+    # the 10 Segre nodes evaluated on the 5 linear forms (t = 1), exact bytes
     path = write_scenario(tmp_path, bundled_scenario("segre"))
     dump = tmp_path / "matrix.csv"
     code, out, _ = run_cli(capsys, "analyze", path, "--dump-matrix", str(dump))
     assert code == 0
-    rows = dump.read_text().strip().splitlines()
-    assert len(rows) == 10 and all(len(r.split(",")) == 5 for r in rows)
+    assert dump.read_bytes() == SEGRE_MATRIX_CSV.encode("utf-8")
+    golden = (GOLDEN_DIR / "segre.txt").read_text("utf-8")
+    assert out == golden + f"note: evaluation matrix written to {dump}\n"
+
+
+def test_analyze_dump_matrix_unwritable_path_is_a_coded_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, bundled_scenario("segre"))
+    code, out, err = run_cli(capsys, "analyze", path, "--dump-matrix", str(tmp_path / "no" / "m.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [cli.invalid]: cannot write matrix file")
+
+
+def test_analyze_dump_matrix_json_note(tmp_path, capsys):
+    path = write_scenario(tmp_path, bundled_scenario("segre"))
+    dump = tmp_path / "matrix.csv"
+    code, out, _ = run_cli(capsys, "analyze", path, "--format", "json", "--dump-matrix", str(dump))
+    assert code == 0
+    report = json.loads(out)
+    assert report["annotations"][-1] == f"evaluation matrix written to {dump}"
+    assert report["annotations"][:-1] == run(bundled_scenario("segre"))["annotations"]
+
+
+@pytest.mark.parametrize(
+    "data, pinned",
+    [(bundled_scenario("smooth_cubic3fold"), "smooth_cubic3fold.txt"), (incomplete_segre(), None)],
+    ids=["smooth-golden", "incomplete-certificate"],
+)
+def test_analyze_dump_matrix_needs_a_defect(tmp_path, capsys, data, pinned):
+    dump = tmp_path / "matrix.csv"
+    code, out, _ = run_cli(capsys, "analyze", write_scenario(tmp_path, data), "--dump-matrix", str(dump))
+    assert code == 0
+    assert not dump.exists()
+    assert "evaluation matrix" not in out
+    if pinned:
+        assert out == (GOLDEN_DIR / pinned).read_text("utf-8")
 
 
 def test_hodge_subcommand(capsys):
@@ -415,6 +483,5 @@ def test_bench_round_answers_check(workload, size):
     assert len(ops) == size
     for op in ops:
         report = run(validate_scenario(op.scenario))
-        report.pop("timing_seconds")
         json.dumps(report, indent=2)
         assert workloads.check(op, report) is None, op.cls

@@ -122,11 +122,11 @@ def test_oracle_agreement_hypersurfaces():
 # -- levels ---------------------------------------------------------------
 
 def test_levels():
-    assert str(hodge_diamond(md(3, 2, 3)).level()) == "1"
-    assert hodge_diamond(md(3, 2)).level().is_constant
-    assert hodge_diamond(md(3, 5)).level().value == 3
-    assert hodge_diamond(md(2, 3)).level().value == 0
-    assert hodge_diamond(md(4, 3)).level().value == 2
+    assert hodge_diamond(md(3, 2, 3)).level() == 1
+    assert hodge_diamond(md(3, 2)).level() is None
+    assert hodge_diamond(md(3, 5)).level() == 3
+    assert hodge_diamond(md(2, 3)).level() == 0
+    assert hodge_diamond(md(4, 3)).level() == 2
 
 
 def test_level_matches_coniveau_closed_form():
@@ -134,16 +134,16 @@ def test_level_matches_coniveau_closed_form():
     cases = list(box_multidegrees(n_max=9, d_max=6, k_max=4))
     assert len(cases) == 1125
     for m in cases:
-        assert hodge_diamond(m).level().value == coniveau_level(m), m.label()
+        assert hodge_diamond(m).level() == coniveau_level(m), m.label()
 
 
 def test_quadric_intersections_level_pattern():
     # all-quadric families with odd n: level 1 exactly when k in {2, 3}
     for n in (3, 5):
-        assert hodge_diamond(md(n, 2)).level().is_constant
-        assert hodge_diamond(md(n, 2, 2)).level().value == 1
-        assert hodge_diamond(md(n, 2, 2, 2)).level().value == 1
-    assert hodge_diamond(md(3, 2, 2, 2, 2)).level().value == 3
+        assert hodge_diamond(md(n, 2)).level() is None
+        assert hodge_diamond(md(n, 2, 2)).level() == 1
+        assert hodge_diamond(md(n, 2, 2, 2)).level() == 1
+    assert hodge_diamond(md(3, 2, 2, 2, 2)).level() == 3
 
 
 # -- scan -------------------------------------------------------------------

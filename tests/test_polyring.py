@@ -8,6 +8,7 @@ from flatobs.polyring import (
     MultiPoly,
     ParseError,
     PolyringError,
+    _coerce_scalar,
     clear_denominators,
     dehomogenize,
     monomial_divides,
@@ -229,6 +230,12 @@ def test_evaluate_accepts_strings():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), "-2/3", 0, 5]) == ([3, -4, 0, 30], 6)
     assert clear_denominators([1, -1]) == ([1, -1], 1)
+
+
+def test_fraction_scalars_are_not_rewrapped():
+    c = Fraction(-2, 3)
+    assert _coerce_scalar(c) is c
+    assert _coerce_scalar("-2/3") == c
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", None], ids=["text", "zero-denominator", "none"])
