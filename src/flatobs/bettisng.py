@@ -70,7 +70,7 @@ def evaluation_matrix(nodes, t: int) -> list:
     monos = monomials_of_degree(arity, t)
     rows = []
     for node in nodes:
-        ints, q = clear_denominators(node.coordinates)
+        ints, q = clear_denominators(node)
         denominator = q**t
         rows.append([Fraction(prod(map(pow, ints, mono)), denominator) for mono in monos])
     return rows

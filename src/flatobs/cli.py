@@ -68,6 +68,15 @@ class SchemaError(CliError):
     code = "cli.schema"
 
 
+class TooLargeError(CliError):
+    code = "cli.too_large"
+
+
+#: Most terms a restricted section may have, C(arity + d - 2, d) for a
+#: degree-d variety; larger inputs are refused before the expansion.
+RESTRICTION_TERM_CAP = 10_000
+
+
 # An integer or a fraction with a nonzero denominator, e.g. "-2/3".
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -231,9 +240,9 @@ def _verdict_tail(bv, smooth_bv: BettiVector, hypotheses: Hypotheses, pipeline, 
         annotations.append(f"verdict refused: {exc}")
         return None
     ih = ih_from_betti(bv, hypotheses.H_nonconstant)
-    pipeline["ih_profile"] = {"dims": ih.to_json()}
+    pipeline["ih_profile"] = {"dims": list(ih)}
     if fiber_dim is not None:
-        table = {(j, 2 * fiber_dim - 1): ih.dims[j] for j in range(1, bv.n + 1)}
+        table = {(j, 2 * fiber_dim - 1): ih[j] for j in range(1, bv.n + 1)}
         result = corob_check(table, fiber_dim)
         pipeline["corob"] = asdict(result)
     else:
@@ -254,6 +263,15 @@ def _run_hypersurface_section(data: dict, hypotheses: Hypotheses):
     annotations: list = []
     arity = data["ambient_arity"]
     variety = parse_poly(data["variety"], arity)
+    d = variety.degree or 0
+    terms = 1  # C(arity + d - 2, i), rising to the bound at i = min(d, arity - 2)
+    for i in range(1, min(d, arity - 2) + 1):
+        terms = terms * (arity + d - 1 - i) // i
+        if terms > RESTRICTION_TERM_CAP:
+            raise TooLargeError(
+                f"a degree-{d} variety in arity {arity} restricts to up to "
+                f"C({arity + d - 2}, {d}) terms, over the cap of {RESTRICTION_TERM_CAP}"
+            )
     hyperplane = parse_poly(data["hyperplane"], arity)
     section = restrict_to_hyperplane(variety, hyperplane, data["eliminate"])
     if section.is_zero or not section.is_homogeneous:

@@ -51,7 +51,6 @@ __all__ = [
     "euler_characteristic",
     "griffiths_middle_hodge",
     "hodge_diamond",
-    "linear_system_dim",
     "scan_level1",
 ]
 
@@ -285,13 +284,6 @@ def griffiths_middle_hodge(d: int, n: int) -> tuple:
 def betti_vector_smooth(diamond: HodgeDiamond) -> BettiVector:
     """Full Betti vector b_0..b_{2n} of the smooth family member."""
     return BettiVector(diamond.n, tuple(diamond.betti_list()))
-
-
-def linear_system_dim(N: int, d: int) -> int:
-    """Projective dimension of the degree-d linear system on P^N: C(N+d, d) - 1."""
-    if not isinstance(N, int) or not isinstance(d, int) or N < 1 or d < 1:
-        raise HodgeError(f"need positive integers, got ({N!r}, {d!r})")
-    return comb(N + d, d) - 1
 
 
 def scan_level1(n_max: int, d_max: int, k_max: int) -> list:

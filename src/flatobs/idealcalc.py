@@ -41,7 +41,6 @@ __all__ = [
     "GroebnerBasis",
     "IdealError",
     "buchberger",
-    "leading_monomial",
     "projective_dimension",
     "standard_monomials",
 ]
@@ -59,12 +58,6 @@ def _heap_key(m: Monomial) -> tuple:
     under the key.
     """
     return (-sum(m), *m[::-1])
-
-
-def leading_monomial(p: MultiPoly) -> Monomial:
-    if p.is_zero:
-        raise IdealError("zero polynomial has no leading monomial")
-    return min(p.terms, key=_heap_key)
 
 
 class _Kernel:
@@ -222,19 +215,18 @@ class _Reducers:
 class GroebnerBasis:
     """Reduced Gröbner basis: monic generators, no redundant terms.
 
-    `modulus` is None over Q; otherwise the generators are the reduced basis
-    of the ideal's reduction mod that prime, with coefficients in [0, p).
+    `leads[i]` is the grevlex leading monomial of `generators[i]`.  `modulus`
+    is None over Q; otherwise the generators are the reduced basis of the
+    ideal's reduction mod that prime, with coefficients in [0, p).
     """
 
     generators: tuple
+    leads: tuple
     modulus: int | None = None
 
     @property
     def arity(self) -> int:
         return self.generators[0].arity
-
-    def leading_monomials(self) -> list:
-        return [leading_monomial(g) for g in self.generators]
 
     def __iter__(self):
         return iter(self.generators)
@@ -294,8 +286,8 @@ def buchberger(gens, modulus: int | None = None) -> GroebnerBasis:
         reducers.append(r, lr)
         active = _update(leads, active, queue, len(basis) - 1)
 
-    reduced = _autoreduce(kernel, basis, leads)
-    return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), modulus)
+    reduced, reduced_leads = _autoreduce(kernel, basis, leads)
+    return GroebnerBasis(tuple(MultiPoly(arity, g) for g in reduced), reduced_leads, modulus)
 
 
 def _update(leads: list, active: list, queue: list, t: int) -> list:
@@ -335,8 +327,8 @@ def _update(leads: list, active: list, queue: list, t: int) -> list:
     return [k for k in active if not all(map(le, h, leads[k]))] + [t]
 
 
-def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
-    """Minimalize, then tail-reduce; largest leading monomial first."""
+def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> tuple:
+    """Minimalize, then tail-reduce: (generators, their leads), largest lead first."""
     key = kernel.key
     ascending = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
     # minimalize: drop generators whose lead is divisible by a smaller lead
@@ -356,7 +348,7 @@ def _autoreduce(kernel: _Kernel, basis: list, leads: list) -> list:
         reducers.append(g, lm)
         out.append(g)
     out.reverse()
-    return out
+    return out, tuple(reversed(reducers.leads))
 
 
 def standard_monomials(gb: GroebnerBasis) -> list:
@@ -365,7 +357,7 @@ def standard_monomials(gb: GroebnerBasis) -> list:
     The staircase must be finite (an Artinian quotient), or IdealError is
     raised; the list length is then the quotient's vector-space dimension.
     """
-    leads = gb.leading_monomials()
+    leads = gb.leads
     arity = gb.arity
     if any(sum(lm) == 0 for lm in leads):
         return []  # unit ideal
@@ -397,7 +389,7 @@ def projective_dimension(gb: GroebnerBasis) -> int:
     """
     if any(not g.is_homogeneous for g in gb.generators):
         raise IdealError("projective dimension needs homogeneous generators")
-    leads = gb.leading_monomials()
+    leads = gb.leads
     if any(sum(lm) == 0 for lm in leads):
         return -1  # unit ideal: empty cone
     arity = gb.arity

@@ -10,7 +10,6 @@ that a compactification exists.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
 
 from .errors import ToolError
@@ -21,10 +20,8 @@ __all__ = [
     "CorobResult",
     "DISCLAIMER",
     "Hypotheses",
-    "IHProfile",
     "InputInconsistentError",
     "ObstructError",
-    "Outcome",
     "corob_check",
     "ih_from_betti",
     "verdict_report",
@@ -93,9 +90,6 @@ class BettiVector:
     def to_json(self) -> list:
         return list(self.entries)
 
-    def __str__(self) -> str:
-        return "(" + ", ".join("?" if v is UNKNOWN else str(v) for v in self.entries) + ")"
-
 
 @dataclass(frozen=True)
 class Hypotheses:
@@ -105,30 +99,13 @@ class Hypotheses:
     abelian_scheme: bool
 
 
-@dataclass(frozen=True)
-class IHProfile:
-    """dim IH^j for j = 1..n; index 0 is None (not computed from Betti data)."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(self.dims)
-        if not dims or dims[0] is not None:
-            raise ObstructError("IHProfile.dims[0] must be None (IH^0 is not computed)")
-        if any(not isinstance(d, int) or d < 0 for d in dims[1:]):
-            raise ObstructError("IH dimensions must be nonnegative integers")
-        object.__setattr__(self, "dims", dims)
-
-    def to_json(self) -> list:
-        return list(self.dims)
-
-
-def ih_from_betti(b: BettiVector, H_nonconstant: bool) -> IHProfile:
+def ih_from_betti(b: BettiVector, H_nonconstant: bool) -> tuple:
     """Local IH dimensions at the section's parameter point, from Betti differences.
 
-    dim IH^k = b_{n+k} - b_{n-k} for k >= 1.  Requires the non-constancy
-    hypothesis; any negative difference is an inconsistency error, never a
-    clamped value.  IH^0 is not derivable this way and is reported as None.
+    Returns (None, dim IH^1, ..., dim IH^n) with dim IH^k = b_{n+k} - b_{n-k}.
+    Requires the non-constancy hypothesis; any negative difference is an
+    inconsistency error, never a clamped value.  IH^0 is not derivable this
+    way and is reported as None.
     """
     if not H_nonconstant:
         raise HypothesisError(
@@ -143,13 +120,7 @@ def ih_from_betti(b: BettiVector, H_nonconstant: bool) -> IHProfile:
                 f"b_{b.n + k} - b_{b.n - k} = {diff} < 0 contradicts the asserted hypotheses"
             )
         dims.append(diff)
-    return IHProfile(tuple(dims))
-
-
-class Outcome(enum.Enum):
-    NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
-    NO_IRREDUCIBLE_FIBER_COMPACTIFICATION = "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION"
-    NO_FLAT_COMPACTIFICATION = "NO_FLAT_COMPACTIFICATION"
+    return tuple(dims)
 
 
 def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
@@ -174,19 +145,19 @@ def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
             f"hypotheses asserted true, missing: {', '.join(missing)}"
         )
     ih = ih_from_betti(b, True)
-    nonzero = [k for k in range(1, b.n + 1) if ih.dims[k]]
+    nonzero = [k for k in range(1, b.n + 1) if ih[k]]
     high = [k for k in nonzero if k >= 2]
     if high:
-        outcome, evidence = Outcome.NO_FLAT_COMPACTIFICATION, high
+        outcome, evidence = "NO_FLAT_COMPACTIFICATION", high
     elif nonzero:
-        outcome, evidence = Outcome.NO_IRREDUCIBLE_FIBER_COMPACTIFICATION, nonzero
+        outcome, evidence = "NO_IRREDUCIBLE_FIBER_COMPACTIFICATION", nonzero
     else:
-        outcome, evidence = Outcome.NO_OBSTRUCTION_FOUND, []
+        outcome, evidence = "NO_OBSTRUCTION_FOUND", []
     return {
-        "verdict": outcome.value,
+        "verdict": outcome,
         "weakly_palindromic": not high,
         "palindromic": not nonzero,
-        "ih_dims": ih.to_json(),
+        "ih_dims": list(ih),
         "witnesses": [
             {"k": k, "b_plus": b.b(b.n + k), "b_minus": b.b(b.n - k)} for k in evidence
         ],

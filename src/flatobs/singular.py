@@ -60,12 +60,12 @@ UNVERIFIED = "unverified"
 CERTIFICATE_PRIME = 2**31 - 1
 
 
-class ProjectivePoint:
-    """Point of projective space, stored with first nonzero coordinate = 1."""
+class ProjectivePoint(tuple):
+    """Point of projective space: a tuple of `Fraction`s, first nonzero = 1."""
 
-    __slots__ = ("coordinates",)
+    __slots__ = ()
 
-    def __init__(self, coordinates):
+    def __new__(cls, coordinates):
         coordinates = tuple(coordinates)
         for c in coordinates:
             if isinstance(c, float):
@@ -81,25 +81,10 @@ class ProjectivePoint:
         pivot = next((v for v in vals if v), None)
         if pivot is None:
             raise SingularError("projective point must have a nonzero coordinate")
-        self.coordinates = tuple(v / pivot for v in vals)
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectivePoint) and self.coordinates == other.coordinates
-
-    def __hash__(self) -> int:
-        return hash(self.coordinates)
-
-    def __lt__(self, other) -> bool:
-        return self.coordinates < other.coordinates
-
-    def as_strings(self) -> list:
-        return [str(c) for c in self.coordinates]
+        return super().__new__(cls, (v / pivot for v in vals))
 
     def __str__(self) -> str:
-        return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
+        return "(" + " : ".join(map(str, self)) + ")"
 
     def __repr__(self) -> str:
         return f"ProjectivePoint{self}"
@@ -134,7 +119,7 @@ class SingularityReport:
             "locus_dimension": self.locus_dimension,
             "jacobian_quotient_degree": self.jacobian_quotient_degree,
             "points": [
-                {"coordinates": pt.as_strings(), "classification": cls}
+                {"coordinates": [str(c) for c in pt], "classification": cls}
                 for pt, cls in self.points
             ],
             "complete": self.complete,
@@ -177,9 +162,9 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
             raise SingularError(
                 f"candidate {pt} has {len(pt)} coordinates, expected {arity}"
             )
-        if f.evaluate(pt.coordinates) != 0:
+        if f.evaluate(pt) != 0:
             raise SingularError(f"candidate {pt} does not lie on the hypersurface")
-        if any(g.evaluate(pt.coordinates) for g in partials):
+        if any(g.evaluate(pt) for g in partials):
             raise SingularError(f"candidate {pt} is a smooth point of the hypersurface")
         if locus > 0:
             classified.append((pt, UNVERIFIED))
@@ -187,7 +172,7 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
         if upper is None:
             upper = [[g.partial_derivative(k) for k in range(j, arity)]
                      for j, g in enumerate(partials)]
-        rows = [[h.evaluate(pt.coordinates) for h in row] for row in upper]
+        rows = [[h.evaluate(pt) for h in row] for row in upper]
         hessian = [[rows[min(j, k)][abs(k - j)] for k in range(arity)] for j in range(arity)]
         rank = exact_rank(hessian)
         classified.append((pt, NODE if rank == arity - 1 else NON_NODE_ISOLATED))
@@ -214,7 +199,7 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
             chart_degrees[chart] = len(standard_monomials(buchberger(chart_gens)))
 
     nodes = [pt for pt, cls in classified if cls == NODE]
-    visible = [sum(1 for pt in nodes if pt.coordinates[c]) for c in range(arity)]
+    visible = [sum(1 for pt in nodes if pt[c]) for c in range(arity)]
     complete = all(cls == NODE for _, cls in classified) and all(
         d == v for d, v in zip(chart_degrees, visible)
     )

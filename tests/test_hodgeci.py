@@ -10,7 +10,6 @@ from flatobs.hodgeci import (
     euler_characteristic,
     griffiths_middle_hodge,
     hodge_diamond,
-    linear_system_dim,
     scan_level1,
 )
 from flatobs.hodgeci import _line_bundle_expansion
@@ -161,18 +160,6 @@ def test_scan_requires_n_max_at_least_3():
 def test_scan_box_n5():
     found = scan_level1(5, 3, 2)
     assert found == sorted([md(3, 2, 2), md(3, 3), md(3, 2, 3), md(5, 2, 2), md(5, 3)])
-
-
-# -- linear systems -----------------------------------------------------------
-
-def test_linear_system_dims():
-    from math import comb
-
-    assert linear_system_dim(5, 2) == 20
-    assert linear_system_dim(4, 1) == 4
-    assert linear_system_dim(5, 3) == comb(8, 3) - 1 == 55
-    with pytest.raises(HodgeError):
-        linear_system_dim(0, 2)
 
 
 # -- betti vectors -------------------------------------------------------------

@@ -18,6 +18,7 @@ from corpus import ideal_corpus, segre_cubic
 from oracles import (
     brute_standard_monomials,
     naive_groebner,
+    naive_lead,
     naive_normal_form,
     naive_quotient_dimension,
     naive_s_polynomial,
@@ -63,7 +64,8 @@ def test_mixed_arity_rejected():
 
 
 def assert_reduced(gb):
-    leads = gb.leading_monomials()
+    leads = gb.leads
+    assert leads == tuple(naive_lead(g) for g in gb.generators)
     for idx, g in enumerate(gb.generators):
         lm = leads[idx]
         assert g.terms[lm] == 1  # monic

@@ -1,6 +1,8 @@
 """Every import in the package and its tests is used, every private
-module-level function or class of the package is read in its own module, and
-every public function of the shared test modules is read by some test file."""
+module-level function or class of the package is read in its own module,
+every public module-level function of the package is read somewhere in the
+package, and every public function of the shared test modules is read by
+some test file."""
 
 import ast
 from pathlib import Path
@@ -112,6 +114,12 @@ def test_private_scan_finds_unread_definitions():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_private_definitions(path):
     assert unread_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_public_functions(path):
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE))
+    assert unread_public_functions(path.read_text(encoding="utf-8"), read) == []
 
 
 def test_public_scan_finds_unread_functions():

@@ -48,15 +48,15 @@ def test_betti_out_of_range_reads_zero():
 
 def test_segre_profile():
     ih = ih_from_betti(SEGRE, True)
-    assert ih.dims == (None, 5, 0, 0)
+    assert ih == (None, 5, 0, 0)
 
 
 def test_symmetric_vector_gives_zero_profile():
-    assert ih_from_betti(SMOOTH_23, True).dims == (None, 0, 0, 0)
+    assert ih_from_betti(SMOOTH_23, True) == (None, 0, 0, 0)
 
 
 def test_two_component_profile():
-    assert ih_from_betti(TWO_COMPONENT, True).dims == (None, 0, 0, 1)
+    assert ih_from_betti(TWO_COMPONENT, True) == (None, 0, 0, 1)
 
 
 def test_negative_difference_is_error_never_clamped():
@@ -217,7 +217,7 @@ def test_level1_smooth_sections_have_zero_profile():
 
     for md in scan_level1(5, 4, 3):
         ih = ih_from_betti(betti_vector_smooth(hodge_diamond(md)), True)
-        assert all(d == 0 for d in ih.dims[1:]), md.label()
+        assert all(d == 0 for d in ih[1:]), md.label()
 
 
 # -- property suite ---------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_ih_nonnegative_or_error(b):
         ih = ih_from_betti(b, True)
     except InputInconsistentError:
         return
-    assert all(d >= 0 for d in ih.dims[1:])
+    assert all(d >= 0 for d in ih[1:])
 
 
 @given(betti_vectors())
@@ -274,7 +274,7 @@ def test_corob_consistency_with_ih(b):
     except InputInconsistentError:
         return
     g = 5  # fiber dimension of the associated family; any g >= n works here
-    table = {(j, 2 * g - 1): ih.dims[j] for j in range(1, b.n + 1)}
+    table = {(j, 2 * g - 1): ih[j] for j in range(1, b.n + 1)}
     result = corob_check(table, g)
     if is_weakly_palindromic(b) and not is_palindromic(b):
         assert result.irreducible_excluded and not result.flat_excluded

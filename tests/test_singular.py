@@ -32,9 +32,28 @@ def P(text, arity):
 
 def test_point_normalization_and_equality():
     p = ProjectivePoint([0, 2, -4])
-    assert p.coordinates == (0, 1, -2)
+    assert p == (0, 1, -2)
     assert p == ProjectivePoint(["0", "-1/2", "1"])
     assert len({p, ProjectivePoint([0, 2, -4])}) == 1
+    assert str(ProjectivePoint(["-2", "1", "0"])) == "(1 : -1/2 : 0)"
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@given(
+    st.lists(rationals, min_size=1, max_size=5).filter(any),
+    rationals.filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_point_is_its_normalized_tuple(v, c):
+    p = ProjectivePoint(v)
+    assert ProjectivePoint([c * x for x in v]) == p
+    pivot = next(x for x in v if x)
+    normalized = tuple(x / pivot for x in v)
+    assert p == normalized and hash(p) == hash(normalized)
+    assert next(x for x in p if x) == 1
+    assert str(p) == "(" + " : ".join(str(x) for x in normalized) + ")"
 
 
 def test_point_rejects_zero_vector():
@@ -44,7 +63,7 @@ def test_point_rejects_zero_vector():
 
 def test_point_accepts_rational_strings():
     p = ProjectivePoint(["2/3", "1", "-1"])
-    assert p.coordinates == (1, Fraction(3, 2), Fraction(-3, 2))
+    assert p == (1, Fraction(3, 2), Fraction(-3, 2))
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", None], ids=["text", "zero-denominator", "none"])
@@ -111,8 +130,8 @@ def test_segre_node_certificate_is_exact():
     f = segre_cubic()
     partials = jacobian_ideal(f)
     for pt in segre_nodes():
-        assert f.evaluate(pt.coordinates) == 0
-        assert all(g.evaluate(pt.coordinates) == 0 for g in partials)
+        assert f.evaluate(pt) == 0
+        assert all(g.evaluate(pt) == 0 for g in partials)
 
 
 def test_fermat_smooth():
@@ -153,7 +172,7 @@ def test_smooth_candidate_is_an_error(f, nodes):
     # (1 : -1 : 0 : 0 : 0) lies on both cubics but is a smooth point; it must
     # not leave a complete node list uncertified
     pt = ProjectivePoint([1, -1, 0, 0, 0])
-    assert f.evaluate(pt.coordinates) == 0
+    assert f.evaluate(pt) == 0
     with pytest.raises(SingularError, match="smooth point"):
         analyze_singularities(f, [*nodes, pt])
 
@@ -200,10 +219,10 @@ def test_node_hessian_invariant():
     report = analyze_singularities(f, segre_nodes())
     for pt, cls in report.points:
         assert cls == NODE
-        c = next(i for i, v in enumerate(pt.coordinates) if v)  # the chart
+        c = next(i for i, v in enumerate(pt) if v)  # the chart
         chart_hessian = [
             [
-                f.partial_derivative(j).partial_derivative(k).evaluate(pt.coordinates)
+                f.partial_derivative(j).partial_derivative(k).evaluate(pt)
                 for k in range(5)
                 if k != c
             ]
