@@ -126,8 +126,8 @@ def validate_scenario(data) -> dict:
     context = f"scenario[{kind}]"
     if kind == "hypersurface_section":
         arity = _need(data, "ambient_arity", int, context)
-        if arity < 3:
-            raise SchemaError(f"{context}: ambient_arity must be at least 3")
+        if arity < 4:
+            raise SchemaError(f"{context}: ambient_arity must be at least 4")
         _need(data, "variety", str, context)
         _need(data, "hyperplane", str, context)
         eliminate = _need(data, "eliminate", int, context)
@@ -278,8 +278,6 @@ def _run_hypersurface_section(data: dict, hypotheses: Hypotheses):
         raise CliError("the restricted equation is zero or inhomogeneous")
     n = section.arity - 2
     d = section.degree
-    if n < 1:
-        raise CliError(f"section dimension {n} is too small")
     pipeline["restriction"] = {
         "arity": section.arity,
         "degree": d,

@@ -14,7 +14,7 @@ records each monomial's first divisor in list order; the memo changes no
 normal form, only how fast the divisor is found.  Monomial arithmetic in the
 hot loops maps `operator` functions over the exponent tuples directly
 (``tuple(map(add, m, shift))``, ``all(map(le, lead, m))``) rather than
-calling the `polyring` helpers of the same form.
+calling `polyring.monomial_divides`, which has the second form.
 
 One Buchberger kernel serves two coefficient fields.  By default it works
 over Q with exact `Fraction` coefficients.  With `modulus=p` (a prime) it

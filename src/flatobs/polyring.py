@@ -1,17 +1,21 @@
-"""Sparse multivariate polynomial arithmetic over Q.
+"""Sparse multivariate polynomials over Q.
 
 Variables are positional (``x0``, ``x1``, ...); exponent vectors are dense
 tuples with one entry per variable.  Coefficients are exact rationals
 (`fractions.Fraction`); nothing in this package touches floating point.
-Monomial arithmetic maps `operator` functions over the exponent tuples
-(``tuple(map(add, a, b))``); `idealcalc` writes the same form inline in the
+`MultiPoly` is a validated container with no ring operators: every
+polynomial is built by one constructor call from its (monomial,
+coefficient) terms, and the constructor sums repeated monomials.  Monomial
+divisibility maps `operator.le` over the exponent tuples
+(``all(map(le, a, b))``); `idealcalc` writes the same form inline in the
 hot loops of its Gröbner kernel.
 
-Evaluation at a rational point runs in integers: the point is written as an
-integer vector over one common denominator (`clear_denominators`), the
-coefficients as integers over the lcm of theirs, and one `Fraction` is built
-at the end.  This is the fraction-free idea of Bareiss elimination (Math.
-Comp. 22 (1968)) that `linalg.exact_rank` uses.
+Evaluation at a rational point and restriction to a hyperplane run in
+integers: the point or the hyperplane is written as an integer vector over
+one common denominator (`clear_denominators`), the coefficients as integers
+over the lcm of theirs, and `Fraction`s are built only at the end.  This is
+the fraction-free idea of Bareiss elimination (Math. Comp. 22 (1968)) that
+`linalg.exact_rank` uses.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add, le
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import ToolError
 
@@ -32,7 +36,6 @@ __all__ = [
     "clear_denominators",
     "dehomogenize",
     "monomial_divides",
-    "monomial_mul",
     "monomials_of_degree",
     "parse_poly",
     "restrict_to_hyperplane",
@@ -40,8 +43,6 @@ __all__ = [
 
 #: Dense exponent vector, one nonnegative integer per variable.
 Monomial = tuple
-
-Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -58,10 +59,6 @@ class ParseError(PolyringError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -107,8 +104,9 @@ def clear_denominators(point: Sequence) -> tuple:
 class MultiPoly:
     """Immutable sparse polynomial in Q[x0, ..., x{arity-1}].
 
-    Terms map exponent tuples to nonzero Fractions.  Instances are never
-    mutated after construction; all operations return new polynomials.
+    Terms map exponent tuples to nonzero Fractions; repeated monomials in
+    the input are summed.  Instances are never mutated after construction;
+    all operations return new polynomials.
     """
 
     __slots__ = ("arity", "terms")
@@ -132,16 +130,6 @@ class MultiPoly:
         self.arity = arity
         self.terms = {m: c for m, c in acc.items() if c}
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "MultiPoly":
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity: int, value: Scalar) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: value})
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -159,22 +147,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 
-    def coefficient(self, mono: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mono), _ZERO)
-
-    def terms_sorted(self) -> list:
-        """(monomial, coefficient) pairs in canonical print order."""
-        return [
-            (m, self.terms[m])
-            for m in sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
-        ]
-
-    def __iter__(self) -> Iterator:
-        return iter(self.terms_sorted())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -185,66 +157,7 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.arity, frozenset(self.terms.items())))
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_ring(self, other: "MultiPoly") -> None:
-        if self.arity != other.arity:
-            raise PolyringError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_ring(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m, _ZERO) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        out = MultiPoly.zero(self.arity)
-        out.terms = acc
-        return out
-
-    def __radd__(self, other):
-        if other == 0:  # lets sum() work
-            return self
-        return NotImplemented
-
-    def __neg__(self):
-        out = MultiPoly.zero(self.arity)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_ring(other)
-            acc: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = monomial_mul(m1, m2)
-                    v = acc.get(m, _ZERO) + c1 * c2
-                    if v:
-                        acc[m] = v
-                    elif m in acc:
-                        del acc[m]
-            out = MultiPoly.zero(self.arity)
-            out.terms = acc
-            return out
-        c = _coerce_scalar(other)
-        if not c:
-            return MultiPoly.zero(self.arity)
-        out = MultiPoly.zero(self.arity)
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    # -- calculus -----------------------------------------------------
 
     def partial_derivative(self, index: int) -> "MultiPoly":
         if not 0 <= index < self.arity:
@@ -291,7 +204,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.terms_sorted():
+        for mono in sorted(self.terms, key=lambda m: (sum(m), m), reverse=True):
+            coeff = self.terms[mono]
             atoms = [
                 f"x{i}" if e == 1 else f"x{i}^{e}"
                 for i, e in enumerate(mono)
@@ -367,29 +281,29 @@ class _Parser:
     def expression(self) -> MultiPoly:
         if not self.tokens:
             raise ParseError("empty polynomial text", 0)
-        poly = MultiPoly.zero(self.arity)
         sign = 1
         kind, _, _ = self.peek()
         if kind in ("+", "-"):
             self.take()
             sign = -1 if kind == "-" else 1
-        poly = poly + self.term(sign)
+        terms = [self.term(sign)]
         while True:
             kind, _, pos = self.peek()
             if kind is None:
-                return poly
+                return MultiPoly(self.arity, terms)
             if kind == "+":
                 self.take()
-                poly = poly + self.term(1)
+                terms.append(self.term(1))
             elif kind == "-":
                 self.take()
-                poly = poly + self.term(-1)
+                terms.append(self.term(-1))
             elif kind == "/":
                 raise ParseError("division is only allowed inside a rational coefficient", pos)
             else:
                 raise ParseError("expected '+' or '-' between terms", pos)
 
-    def term(self, sign: int) -> MultiPoly:
+    def term(self, sign: int) -> tuple:
+        """One (monomial, coefficient) pair."""
         kind, value, pos = self.peek()
         coeff = Fraction(sign)
         saw_content = False
@@ -437,7 +351,7 @@ class _Parser:
             saw_content = True
         if not saw_content:
             raise ParseError("expected a term", pos)
-        return MultiPoly(self.arity, {tuple(exponents): coeff})
+        return tuple(exponents), coeff
 
 
 def parse_poly(text: str, arity: int) -> MultiPoly:
@@ -462,41 +376,53 @@ def restrict_to_hyperplane(p: MultiPoly, hyperplane: MultiPoly, eliminated: int)
     coefficient on the eliminated variable.  Remaining variables are
     renumbered to close the gap, so the result has arity reduced by one.
     Homogeneity of `p` is preserved.
+
+    With the hyperplane's coefficients cleared to integers a_j, the
+    eliminated variable is x_e = L / a_e for the integer form
+    L = -sum_{j != e} a_j y_j.  The powers L^k are built in integers, one
+    multiplication by L at a time, and the terms c_m L^k / a_e^k are summed
+    over the one denominator lcm(c_m denominators) * a_e^top.
     """
-    p._check_ring(hyperplane)
+    if p.arity != hyperplane.arity:
+        raise PolyringError(f"arity mismatch: {p.arity} vs {hyperplane.arity}")
     if not 0 <= eliminated < p.arity:
         raise PolyringError(f"variable index {eliminated} out of range for arity {p.arity}")
     if p.arity < 2:
         raise PolyringError("cannot eliminate the only variable")
     if hyperplane.is_zero or hyperplane.degree != 1 or not hyperplane.is_homogeneous:
         raise PolyringError("hyperplane must be a nonzero homogeneous linear form")
-    arity = p.arity
-    coeffs = [
-        hyperplane.coefficient(tuple(1 if i == j else 0 for i in range(arity)))
-        for j in range(arity)
-    ]
-    ce = coeffs[eliminated]
+    coeffs = [0] * p.arity
+    for mono, c in hyperplane.terms.items():
+        coeffs[mono.index(1)] = c
+    ints, _ = clear_denominators(coeffs)
+    ce = ints.pop(eliminated)
     if ce == 0:
         raise PolyringError("hyperplane has zero coefficient on the eliminated variable")
-    small = arity - 1
-    sub_terms = {}
-    for i, ci in enumerate(coeffs):
-        if i == eliminated or ci == 0:
-            continue
-        j = i if i < eliminated else i - 1
-        sub_terms[tuple(1 if t == j else 0 for t in range(small))] = -ci / ce
-    substitution = MultiPoly(small, sub_terms)
-    powers = {0: MultiPoly.constant(small, 1)}
-    result = MultiPoly.zero(small)
-    for mono, coeff in p.terms.items():
+    linear = [(j, -a) for j, a in enumerate(ints) if a]
+    needed = {m[eliminated] for m in p.terms}
+    top = max(needed, default=0)
+    power = {(0,) * (p.arity - 1): 1}  # L^k, integer coefficients
+    powers = {0: power}
+    for k in range(1, top + 1):
+        acc: dict = {}
+        for m, c in power.items():
+            for j, a in linear:
+                t = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                acc[t] = acc.get(t, 0) + c * a
+        power = acc
+        if k in needed:
+            powers[k] = power
+    scale = lcm(*[c.denominator for c in p.terms.values()])
+    result: dict = {}
+    for mono, c in p.terms.items():
         k = mono[eliminated]
-        if k not in powers:
-            top = max(powers)
-            for e in range(top + 1, k + 1):
-                powers[e] = powers[e - 1] * substitution
         reduced = mono[:eliminated] + mono[eliminated + 1 :]
-        result = result + powers[k] * MultiPoly(small, {reduced: coeff})
-    return result
+        v = c.numerator * (scale // c.denominator) * ce ** (top - k)
+        for m, pc in powers[k].items():
+            t = tuple(map(add, reduced, m))
+            result[t] = result.get(t, 0) + v * pc
+    denominator = scale * ce**top
+    return MultiPoly(p.arity - 1, {m: Fraction(v, denominator) for m, v in result.items()})
 
 
 def dehomogenize(p: MultiPoly, chart: int) -> MultiPoly:

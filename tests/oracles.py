@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here is deliberately naive and shares no code path with the
-package beyond `MultiPoly` arithmetic: multinomial expansion by enumeration,
+Everything here is deliberately naive and shares only the `MultiPoly`
+container with the package, not its arithmetic: sums and products term by
+term through the constructor, multinomial expansion by enumeration,
 rank by plain fraction Gaussian elimination, monomial counting by direct
 iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
 exponent arithmetic by generators over `zip`, point evaluation term by term
@@ -146,7 +147,8 @@ def expected_verdict(b):
 
 # -- exponent-vector helpers --------------------------------------------------
 #
-# The `polyring` monomial helpers in their first form, generators over `zip`.
+# Generators over `zip`: the product of monomials for `naive_mul`, and
+# `polyring.monomial_divides` in its first form.
 
 
 def zip_monomial_mul(a, b):
@@ -155,6 +157,25 @@ def zip_monomial_mul(a, b):
 
 def zip_monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+# -- ring arithmetic ----------------------------------------------------------
+#
+# `MultiPoly` has no ring operators; these build each sum or product from its
+# terms with one constructor call, which sums repeated monomials.
+
+
+def naive_add(f, g, scale=1):
+    """f + scale * g."""
+    return MultiPoly(f.arity, [*f.terms.items(), *((m, scale * c) for m, c in g.terms.items())])
+
+
+def naive_mul(f, g):
+    """f * g, one term per pair of terms."""
+    return MultiPoly(
+        f.arity,
+        [(zip_monomial_mul(a, b), c * d) for a, c in f.terms.items() for b, d in g.terms.items()],
+    )
 
 
 # -- point evaluation ---------------------------------------------------------
@@ -208,7 +229,8 @@ def _term(arity, mono, coeff):
 
 
 def _monic(p, modulus):
-    return _in_field(p * _divide(1, p.terms[naive_lead(p)], modulus), modulus)
+    inverse = _divide(1, p.terms[naive_lead(p)], modulus)
+    return _in_field(naive_add(MultiPoly(p.arity), p, inverse), modulus)
 
 
 def _lcm_degree(f, g):
@@ -221,7 +243,7 @@ def naive_s_polynomial(f, g, modulus=None):
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     sf = _term(f.arity, tuple(a - b for a, b in zip(lcm, lf)), _divide(1, f.terms[lf], modulus))
     sg = _term(g.arity, tuple(a - b for a, b in zip(lcm, lg)), _divide(1, g.terms[lg], modulus))
-    return _in_field(sf * f - sg * g, modulus)
+    return _in_field(naive_add(naive_mul(sf, f), naive_mul(sg, g), -1), modulus)
 
 
 def naive_normal_form(f, divisors, modulus=None):
@@ -283,7 +305,7 @@ def naive_groebner(gens, modulus=None):
     reduced = []
     for g in minimal:
         top = _term(g.arity, naive_lead(g), 1)
-        reduced.append(top + naive_normal_form(g - top, minimal, modulus))
+        reduced.append(naive_add(top, naive_normal_form(naive_add(g, top, -1), minimal, modulus)))
     return sorted(reduced, key=lambda g: _grevlex_key(naive_lead(g)), reverse=True)
 
 

@@ -444,14 +444,18 @@ def test_exit_code_one_on_schema_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "variety, hyperplane, arity",
+    "variety, hyperplane, arity, code",
     [
-        ("x0^16", "+".join(f"x{i}" for i in range(8)), 8),  # C(22, 16) = 74 613 terms
-        ("x0", "x0+x1", 100_000),  # C(99 999, 1) terms
+        ("x0^16", "+".join(f"x{i}" for i in range(8)), 8, "cli.too_large"),  # C(22, 16) = 74 613 terms
+        ("x0", "x0+x1", 100_000, "cli.too_large"),  # C(99 999, 1) terms
+        # 2 001 terms, under the cap, but a section of dimension 0 has no verdict
+        ("x0^2000", "x0+x1+x2", 3, "cli.schema"),
     ],
-    ids=["degree-16", "arity-100000"],
+    ids=["degree-16", "arity-100000", "arity-3"],
 )
-def test_oversized_restriction_refused_before_expansion(variety, hyperplane, arity, tmp_path, capsys):
+def test_oversized_restriction_refused_before_expansion(
+    variety, hyperplane, arity, code, tmp_path, capsys
+):
     data = {
         "schema_version": 1,
         "name": "too-large",
@@ -464,11 +468,11 @@ def test_oversized_restriction_refused_before_expansion(variety, hyperplane, ari
     }
     path = write_scenario(tmp_path, data)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "analyze", path)
+    exit_code, out, err = run_cli(capsys, "analyze", path)
     assert time.perf_counter() - start < 1.0
-    assert code == 1
+    assert exit_code == 1
     assert out == ""
-    assert err.startswith("error [cli.too_large]")
+    assert err.startswith(f"error [{code}]")
 
 
 def test_hodge_rejects_degree_one(capsys):

@@ -17,8 +17,10 @@ from flatobs.polyring import MultiPoly, dehomogenize, monomials_of_degree, parse
 from corpus import ideal_corpus, segre_cubic
 from oracles import (
     brute_standard_monomials,
+    naive_add,
     naive_groebner,
     naive_lead,
+    naive_mul,
     naive_normal_form,
     naive_quotient_dimension,
     naive_s_polynomial,
@@ -41,7 +43,7 @@ def test_already_reduced_basis_of_variables():
 def test_binomial_ideal_membership():
     # membership certificate: x0^4 = (x0^2-x1)(x0^2+x1) + x1^2
     f, g = P("x0^2-x1", 2), P("x1^2", 2)
-    assert f * P("x0^2+x1", 2) + g == P("x0^4", 2)
+    assert naive_add(naive_mul(f, P("x0^2+x1", 2)), g) == P("x0^4", 2)
     gb = buchberger([f, g])
     assert naive_normal_form(P("x0^4", 2), gb.generators).is_zero
 
@@ -53,7 +55,7 @@ def test_monomial_ideal_is_its_own_basis():
 
 def test_rejects_zero_input():
     with pytest.raises(IdealError):
-        buchberger([MultiPoly.zero(2)])
+        buchberger([MultiPoly(2)])
     with pytest.raises(IdealError):
         buchberger([])
 
@@ -213,12 +215,12 @@ def test_normal_form_of_generators_is_zero():
     gens = [P("x0^2-x1", 2), P("x1^2", 2)]
     gb = buchberger(gens)
     for g in gb.generators:
-        assert naive_normal_form(g * P("x0*x1", 2), gb.generators).is_zero
+        assert naive_normal_form(naive_mul(g, P("x0*x1", 2)), gb.generators).is_zero
 
 
 def test_unit_not_in_maximal_ideal():
     gb = buchberger([P("x0", 3), P("x1", 3), P("x2", 3)])
-    one = MultiPoly.constant(3, 1)
+    one = P("1", 3)
     assert naive_normal_form(one, gb.generators) == one
 
 
@@ -238,8 +240,8 @@ def test_unit_not_in_maximal_ideal():
 def test_normal_form_is_linear(t1, t2):
     gb = buchberger([P("x0^2-x1", 2), P("x1^3", 2)])
     p, q = MultiPoly(2, t1), MultiPoly(2, t2)
-    lhs = naive_normal_form(p + q * 3, gb.generators)
-    rhs = naive_normal_form(p, gb.generators) + naive_normal_form(q, gb.generators) * 3
+    lhs = naive_normal_form(naive_add(p, q, 3), gb.generators)
+    rhs = naive_add(naive_normal_form(p, gb.generators), naive_normal_form(q, gb.generators), 3)
     assert lhs == rhs
 
 

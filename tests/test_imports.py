@@ -1,8 +1,8 @@
 """Every import in the package and its tests is used, every private
 module-level function or class of the package is read in its own module,
-every public module-level function of the package is read somewhere in the
-package, and every public function of the shared test modules is read by
-some test file."""
+every public module-level function and every public method or property of a
+package class is read somewhere in the package, and every public function of
+the shared test modules is read by some test file."""
 
 import ast
 from pathlib import Path
@@ -82,6 +82,24 @@ def unread_public_functions(source: str, read: set) -> list:
     ]
 
 
+def unread_public_methods(source: str, read: set) -> list:
+    """Public methods and properties of the classes in `source` whose name is
+    not in `read`, as ("Class.name", line)."""
+    return [
+        (f"{cls.name}.{node.name}", node.lineno)
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def package_names_read() -> set:
+    return set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE))
+
+
 def test_scan_covers_package_and_tests():
     names = {path.name for path in FILES}
     assert {"idealcalc.py", "cli.py", "test_imports.py", "oracles.py"} <= names
@@ -118,8 +136,27 @@ def test_no_unread_private_definitions(path):
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_public_functions(path):
-    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE))
-    assert unread_public_functions(path.read_text(encoding="utf-8"), read) == []
+    assert unread_public_functions(path.read_text(encoding="utf-8"), package_names_read()) == []
+
+
+def test_method_scan_finds_unread_methods():
+    source = (
+        "class Poly:\n"
+        "    def __eq__(self, other):\n        return self.read() == other.read()\n\n"
+        "    def read(self):\n        return 1\n\n"
+        "    def dead(self):\n        return 2\n\n"
+        "    @property\n    def dead_property(self):\n        return 3\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "def outer():\n    class Inner:\n        def unread(self):\n            pass\n"
+    )
+    assert unread_public_methods(source, names_read(source)) == [
+        ("Poly.dead", 8), ("Poly.dead_property", 12), ("Inner.unread", 20),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_public_methods(path):
+    assert unread_public_methods(path.read_text(encoding="utf-8"), package_names_read()) == []
 
 
 def test_public_scan_finds_unread_functions():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,16 +13,16 @@ from flatobs.polyring import (
     clear_denominators,
     dehomogenize,
     monomial_divides,
-    monomial_mul,
     monomials_of_degree,
     parse_poly,
     restrict_to_hyperplane,
 )
 
-from corpus import segre_cubic
 from oracles import (
     expand_linear_power,
+    naive_add,
     naive_evaluate,
+    naive_mul,
     zip_monomial_divides,
     zip_monomial_mul,
 )
@@ -69,11 +70,9 @@ monomial_pairs = st.integers(min_value=1, max_value=6).flatmap(
 def test_monomial_helpers_match_zip_oracles(pair):
     a, b = pair
     product = zip_monomial_mul(a, b)
-    assert monomial_mul(a, b) == product
     for x, y in ((a, b), (b, a), (a, product), (b, product), (product, a)):
         assert monomial_divides(x, y) is zip_monomial_divides(x, y)
     assert monomial_divides(a, product) and monomial_divides(b, product)
-    assert type(monomial_mul(a, b)) is tuple
 
 
 # -- parsing ----------------------------------------------------------
@@ -99,9 +98,7 @@ def test_parse_segre_source():
 
 def test_parse_rational_coefficients_and_separators():
     p = parse_poly("2/3*x0*x1^2 - x2 + 5", 3)
-    assert p.coefficient((1, 2, 0)) == Fraction(2, 3)
-    assert p.coefficient((0, 0, 1)) == -1
-    assert p.coefficient((0, 0, 0)) == 5
+    assert p.terms == {(1, 2, 0): Fraction(2, 3), (0, 0, 1): -1, (0, 0, 0): 5}
 
 
 def test_parse_implicit_multiplication_and_repeats():
@@ -149,7 +146,7 @@ def test_partial_derivative_power_rule():
 
 
 def test_product_of_conjugates():
-    p = parse_poly("x0+x1", 2) * parse_poly("x0-x1", 2)
+    p = naive_mul(parse_poly("x0+x1", 2), parse_poly("x0-x1", 2))
     assert p == parse_poly("x0^2-x1^2", 2)
 
 
@@ -158,33 +155,9 @@ def test_derivative_of_absent_variable():
     assert p.partial_derivative(2).is_zero
 
 
-def test_scalar_multiplication():
-    p = parse_poly("x0 + 2", 1)
-    assert Fraction(1, 2) * p == parse_poly("1/2*x0 + 1", 1)
-    assert p * 0 == MultiPoly.zero(1)
-
-
-def test_arity_mismatch_raises():
-    with pytest.raises(PolyringError, match="arity mismatch"):
-        parse_poly("x0", 1) + parse_poly("x0", 2)
-
-
 def test_float_coefficients_rejected():
     with pytest.raises(PolyringError, match="floating-point"):
         MultiPoly(1, {(1,): 0.5})
-
-
-@given(polys(3), polys(3), polys(3))
-@settings(max_examples=60, deadline=None)
-def test_ring_laws(p, q, r):
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p + MultiPoly.zero(3) == p
-    assert p * MultiPoly.constant(3, 1) == p
-    assert (p - p).is_zero
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda d: homogeneous_polys(3, d)))
@@ -193,9 +166,10 @@ def test_euler_identity(p):
     # sum_i x_i * dp/dx_i == deg(p) * p for homogeneous p
     if p.is_zero:
         return
-    d = p.degree
-    total = sum(x(3, i) * p.partial_derivative(i) for i in range(3))
-    assert total == p * d
+    total = MultiPoly(3)
+    for i in range(3):
+        total = naive_add(total, naive_mul(x(3, i), p.partial_derivative(i)))
+    assert total == naive_add(MultiPoly(3), p, p.degree)
 
 
 @given(polys(2))
@@ -275,8 +249,8 @@ def evaluation_cases(draw):
 
 
 @given(evaluation_cases())
-@example((MultiPoly.zero(3), [Fraction(-2, 7), "1/3", 0]))
-@example((MultiPoly.constant(1, Fraction(5, 3)), [Fraction(-2, 7)]))
+@example((MultiPoly(3), [Fraction(-2, 7), "1/3", 0]))
+@example((MultiPoly(1, {(0,): Fraction(5, 3)}), [Fraction(-2, 7)]))
 @example((parse_poly("x0^2 + x1 + 1", 2), [Fraction(1, 2), Fraction(1, 3)]))  # needs q^(top-|m|)
 @settings(max_examples=150, deadline=None)
 def test_evaluate_matches_naive_fraction_route(case):
@@ -288,16 +262,50 @@ def test_evaluate_matches_naive_fraction_route(case):
 
 # -- restriction ------------------------------------------------------
 
-def test_restrict_segre_cubic_matches_multinomial_oracle():
-    # independent oracle: re-expand (-(x0+..+x4))^3 term by term and add the cubes
-    expected_terms = dict(expand_linear_power([-1] * 5, 3))
-    for i in range(5):
-        mono = tuple(3 if j == i else 0 for j in range(5))
-        expected_terms[mono] = expected_terms.get(mono, Fraction(0)) + 1
-    expected = MultiPoly(5, expected_terms)
-    got = segre_cubic()
-    assert got == expected
-    assert got.is_homogeneous and got.degree == 3
+@st.composite
+def restriction_cases(draw):
+    """(p, hyperplane coefficients, eliminated index): p homogeneous in arity 3-6."""
+    arity = draw(st.integers(min_value=3, max_value=6))
+    degree = draw(st.integers(min_value=0, max_value=4))
+    monos = st.sampled_from(monomials_of_degree(arity, degree))
+    p = MultiPoly(arity, draw(st.dictionaries(monos, coefficients, max_size=6)))
+    eliminated = draw(st.integers(min_value=0, max_value=arity - 1))
+    hcoeffs = draw(st.lists(st.one_of(st.just(0), coefficients), min_size=arity, max_size=arity))
+    hcoeffs[eliminated] = draw(coefficients)
+    return p, hcoeffs, eliminated
+
+
+@given(restriction_cases())
+@example((parse_poly("x0^3+x1^3+x2^3+x3^3+x4^3+x5^3", 6), [1] * 6, 5))  # the Segre cubic
+@settings(max_examples=100, deadline=None)
+def test_restrict_segre_cubic_matches_multinomial_oracle(case):
+    # independent oracle: expand each term's power of the substitution by
+    # multinomial enumeration and sum the products
+    p, hcoeffs, eliminated = case
+    arity = p.arity
+    hyperplane = MultiPoly(
+        arity, {tuple(int(i == j) for i in range(arity)): c for j, c in enumerate(hcoeffs)}
+    )
+    ce = Fraction(hcoeffs[eliminated])
+    substitution = [-Fraction(c) / ce for j, c in enumerate(hcoeffs) if j != eliminated]
+    expected = []
+    for mono, c in p.terms.items():
+        reduced = mono[:eliminated] + mono[eliminated + 1 :]
+        for m, v in expand_linear_power(substitution, mono[eliminated]).items():
+            expected.append((zip_monomial_mul(reduced, m), c * v))
+    got = restrict_to_hyperplane(p, hyperplane, eliminated)
+    assert got == MultiPoly(arity - 1, expected)
+    assert got.is_homogeneous and got.degree in (None, p.degree)
+
+
+def test_restrict_high_power_is_fast():
+    # L^139 in three variables has C(141, 2) = 9 870 terms
+    p = parse_poly("x0^139", 4)
+    h = parse_poly("x0+2*x1+3*x2+5*x3", 4)
+    start = time.perf_counter()
+    got = restrict_to_hyperplane(p, h, 0)
+    assert time.perf_counter() - start < 3.0
+    assert len(got.terms) == 9870
 
 
 def test_restrict_untouched_variable():
@@ -314,6 +322,8 @@ def test_restrict_single_substitution():
 
 def test_restrict_rejects_bad_hyperplanes():
     p = parse_poly("x0^2", 3)
+    with pytest.raises(PolyringError, match="arity mismatch"):
+        restrict_to_hyperplane(p, parse_poly("x0+x1", 2), 0)
     with pytest.raises(PolyringError, match="zero coefficient"):
         restrict_to_hyperplane(p, parse_poly("x0+x1", 3), 2)
     with pytest.raises(PolyringError, match="linear"):

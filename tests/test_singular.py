@@ -102,12 +102,12 @@ def test_segre_jacobian_matches_independent_expansion():
 
 def test_linear_form_jacobian_is_constants():
     partials = jacobian_ideal(P("x0+2x1", 2))
-    assert partials == [MultiPoly.constant(2, 1), MultiPoly.constant(2, 2)]
+    assert partials == [P("1", 2), P("2", 2)]
 
 
 def test_jacobian_rejects_bad_input():
     with pytest.raises(SingularError):
-        jacobian_ideal(MultiPoly.zero(2))
+        jacobian_ideal(MultiPoly(2))
     with pytest.raises(SingularError):
         jacobian_ideal(P("x0^2+x1", 2))
 
