@@ -11,9 +11,9 @@ Two mechanisms from the worked scenarios:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .errors import ToolError
 from .linalg import exact_rank
@@ -37,8 +37,7 @@ class BettiComputationError(ToolError):
     code = "bettisng.invalid"
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Defect of a node set with respect to degree-t forms."""
 
     t: int
@@ -121,8 +120,7 @@ def betti_vector_nodal(smooth: BettiVector, report: DefectReport) -> BettiVector
     return BettiVector(n, tuple(entries))
 
 
-@dataclass(frozen=True)
-class QuadricAnalysis:
+class QuadricAnalysis(NamedTuple):
     """Gram-rank classification of a quadric hypersurface.
 
     components_of_section is 2 (hyperplane pair, given the user-asserted

@@ -14,12 +14,9 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
-from dataclasses import asdict
-from importlib import resources
+from math import comb
 
 from . import __version__
 from .bettisng import (
@@ -76,6 +73,11 @@ class TooLargeError(CliError):
 #: degree-d variety; larger inputs are refused before the expansion.
 RESTRICTION_TERM_CAP = 10_000
 
+#: Hodge-side caps, checked before any diamond: dimension, scan n_max, scan box size.
+DIMENSION_CAP = 40
+SCAN_N_CAP = 11
+SCAN_BOX_CAP = 500
+
 
 # An integer or a fraction with a nonzero denominator, e.g. "-2/3".
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -106,6 +108,8 @@ def _need_hypotheses(data: dict, context: str) -> Hypotheses:
 
 def _need_multidegree(data: dict, context: str) -> Multidegree:
     n = _need(data, "dimension", int, context)
+    if n > DIMENSION_CAP:
+        raise TooLargeError(f"{context}: dimension {n} is over the cap of {DIMENSION_CAP}")
     degrees = _need(data, "degrees", list, context)
     if not degrees or any(not isinstance(d, int) or isinstance(d, bool) for d in degrees):
         raise SchemaError(f"{context}: 'degrees' must be a nonempty list of integers")
@@ -168,8 +172,15 @@ def validate_scenario(data) -> dict:
     elif kind == "smooth_ci":
         _need_multidegree(data, context)
     elif kind == "level1_scan":
-        for key in ("n_max", "d_max", "k_max"):
-            _need(data, key, int, context)
+        n_max, d_max, k_max = (_need(data, key, int, context) for key in ("n_max", "d_max", "k_max"))
+        # (n_max - 1) // 2 odd n times C(d_max - 1 + k_max, k_max) - 1 degree lists, so at
+        # least d_max - 1 and k_max; scan_level1 refuses the empty boxes skipped here
+        if n_max > SCAN_N_CAP or min(n_max - 2, d_max - 1, k_max) > 0 and (
+            max(d_max - 1, k_max) > SCAN_BOX_CAP
+            or (n_max - 1) // 2 * (comb(d_max - 1 + k_max, k_max) - 1) > SCAN_BOX_CAP
+        ):
+            raise TooLargeError(f"{context}: scan boxes are capped at n_max {SCAN_N_CAP} "
+                                f"and {SCAN_BOX_CAP} multidegrees")
     elif kind == "extendability":
         arity = _need(data, "arity", int, context)
         if arity < 2:
@@ -181,6 +192,7 @@ def validate_scenario(data) -> dict:
 
 
 def load_scenario(path: str) -> dict:
+    import json
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -192,6 +204,8 @@ def load_scenario(path: str) -> dict:
 
 
 def bundled_scenario(name: str) -> dict:
+    import json
+    from importlib import resources
     ref = resources.files("flatobs").joinpath("scenarios", f"{name}.json")
     return validate_scenario(json.loads(ref.read_text(encoding="utf-8")))
 
@@ -244,7 +258,8 @@ def _verdict_tail(bv, smooth_bv: BettiVector, hypotheses: Hypotheses, pipeline, 
     if fiber_dim is not None:
         table = {(j, 2 * fiber_dim - 1): ih[j] for j in range(1, bv.n + 1)}
         result = corob_check(table, fiber_dim)
-        pipeline["corob"] = asdict(result)
+        witnesses = [w._asdict() for w in result.witnesses]  # lists, not tuples, in JSON
+        pipeline["corob"] = {**result._asdict(), "witnesses": witnesses}
     else:
         annotations.append(
             "fiber dimension unavailable (odd middle Betti number); vanishing table skipped"
@@ -311,7 +326,7 @@ def _run_hypersurface_section(data: dict, hypotheses: Hypotheses):
         annotations.append("section is smooth; using the smooth family Betti vector")
     elif report.locus_dimension <= 0 and report.complete:
         defect_report = defect(report.nodes(), conditions_degree(n, d))
-        pipeline["defect"] = asdict(defect_report)
+        pipeline["defect"] = defect_report._asdict()
         bv = betti_vector_nodal(smooth_bv, defect_report)
     else:
         annotations.append(
@@ -331,7 +346,7 @@ def _run_quadric_section(data: dict, hypotheses: Hypotheses):
         quadric,
         components_smooth_and_distinct=flags["components_smooth_and_distinct"],
     )
-    pipeline["quadric"] = asdict(analysis)
+    pipeline["quadric"] = analysis._asdict()
 
     md = _need_multidegree(data["smooth_family"], "scenario.smooth_family")
     n = md.n
@@ -513,6 +528,7 @@ def render_text(report: dict) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
+    import json
     if fmt == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -547,7 +563,7 @@ def _cmd_hodge(args) -> int:
         degrees = tuple(int(part) for part in args.degrees.split(","))
     except ValueError as exc:
         raise CliError(f"--degrees must be a comma-separated integer list: {exc}") from exc
-    md = Multidegree(args.n, degrees)
+    md = _need_multidegree({"dimension": args.n, "degrees": list(degrees)}, "hodge")
     diamond = hodge_diamond(md)
     payload = {
         "label": md.label(),
@@ -559,7 +575,7 @@ def _cmd_hodge(args) -> int:
         "euler": diamond.euler(),
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _emit(payload, "json")
     else:
         print(f"{payload['label']}: smooth complete intersection, ambient P^{md.ambient}")
         print("middle hodge numbers h^(p,n-p), p=0..n:", *payload["middle"])
@@ -658,6 +674,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="flatobs",
         description=(

@@ -35,10 +35,10 @@ ring of the Fermat-type member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
+from typing import NamedTuple
 
 from .errors import ToolError
 from .obstruct import BettiVector
@@ -59,17 +59,18 @@ class HodgeError(ToolError):
     code = "hodgeci.invalid"
 
 
-@dataclass(frozen=True, order=True)
-class Multidegree:
-    """Smooth complete intersection of dimension n and the given degrees in P^{n+k}."""
+_MultidegreeFields = NamedTuple("_MultidegreeFields", [("n", int), ("degrees", tuple)])
 
-    n: int
-    degrees: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise HodgeError(f"dimension must be a positive integer, got {self.n!r}")
-        degrees = tuple(self.degrees)
+class Multidegree(_MultidegreeFields):
+    """Smooth complete intersection V_n(degrees) in P^{n+k}: the tuple (n, sorted degrees)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, degrees):
+        if not isinstance(n, int) or n < 1:
+            raise HodgeError(f"dimension must be a positive integer, got {n!r}")
+        degrees = tuple(degrees)
         if not degrees:
             raise HodgeError("at least one degree is required")
         for d in degrees:
@@ -77,7 +78,7 @@ class Multidegree:
                 raise HodgeError(
                     f"degrees must be integers >= 2 (degree-1 factors are rejected), got {d!r}"
                 )
-        object.__setattr__(self, "degrees", tuple(sorted(degrees)))
+        return super().__new__(cls, n, tuple(sorted(degrees)))
 
     @property
     def k(self) -> int:
@@ -181,8 +182,7 @@ def _todd_class(md: Multidegree, prec: int):
     return td
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(NamedTuple):
     """Hodge numbers of a smooth complete intersection.
 
     `middle` lists h^{p, n-p} for p = 0..n (totals: for even n the diagonal

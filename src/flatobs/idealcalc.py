@@ -30,7 +30,6 @@ extendability certificate in `singular` does so with p = 2^31 - 1.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add, le, sub
 
@@ -211,18 +210,21 @@ class _Reducers:
         self.tails.append([(m, c) for m, c in terms.items() if m != lm])
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Gröbner basis: monic generators, no redundant terms.
 
-    `leads[i]` is the grevlex leading monomial of `generators[i]`.  `modulus`
-    is None over Q; otherwise the generators are the reduced basis of the
-    ideal's reduction mod that prime, with coefficients in [0, p).
+    `leads[i]` is the grevlex leading monomial of `generators[i]`; iteration
+    and `len` go over the generators.  `modulus` is None over Q; otherwise the
+    generators are the reduced basis of the ideal's reduction mod that prime,
+    with coefficients in [0, p).
     """
 
-    generators: tuple
-    leads: tuple
-    modulus: int | None = None
+    __slots__ = ("generators", "leads", "modulus")
+
+    def __init__(self, generators: tuple, leads: tuple, modulus: int | None = None):
+        self.generators = generators
+        self.leads = leads
+        self.modulus = modulus
 
     @property
     def arity(self) -> int:

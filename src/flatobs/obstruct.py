@@ -10,7 +10,7 @@ that a compactification exists.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import ToolError
 
@@ -51,31 +51,32 @@ DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class BettiVector:
+_BettiFields = NamedTuple("_BettiFields", [("n", int), ("entries", tuple)])
+
+
+class BettiVector(_BettiFields):
     """b_0..b_{2n} of an n-dimensional section; the middle entry may be UNKNOWN."""
 
-    n: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ObstructError(f"dimension must be a positive integer, got {self.n!r}")
-        entries = tuple(self.entries)
-        if len(entries) != 2 * self.n + 1:
+    def __new__(cls, n: int, entries):
+        if not isinstance(n, int) or n < 1:
+            raise ObstructError(f"dimension must be a positive integer, got {n!r}")
+        entries = tuple(entries)
+        if len(entries) != 2 * n + 1:
             raise ObstructError(
-                f"expected {2 * self.n + 1} entries for dimension {self.n}, got {len(entries)}"
+                f"expected {2 * n + 1} entries for dimension {n}, got {len(entries)}"
             )
         for m, value in enumerate(entries):
             if value is UNKNOWN:
-                if m != self.n:
+                if m != n:
                     raise ObstructError("only the middle entry may be UNKNOWN")
                 continue
             if not isinstance(value, int) or value < 0:
                 raise ObstructError(f"b_{m} must be a nonnegative integer, got {value!r}")
         if entries[0] < 1:
             raise ObstructError("b_0 must be at least 1")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, n, entries)
 
     def b(self, m: int):
         """b_m, reading entries outside [0, 2n] as 0."""
@@ -91,8 +92,7 @@ class BettiVector:
         return list(self.entries)
 
 
-@dataclass(frozen=True)
-class Hypotheses:
+class Hypotheses(NamedTuple):
     """Caller-asserted mathematical hypotheses; the tool cannot prove them."""
 
     H_nonconstant: bool
@@ -161,13 +161,12 @@ def verdict_report(b: BettiVector, hypotheses: Hypotheses) -> dict:
         "witnesses": [
             {"k": k, "b_plus": b.b(b.n + k), "b_minus": b.b(b.n - k)} for k in evidence
         ],
-        "hypotheses": asdict(hypotheses),
+        "hypotheses": hypotheses._asdict(),
         "disclaimer": DISCLAIMER,
     }
 
 
-@dataclass(frozen=True)
-class VanishingWitness:
+class VanishingWitness(NamedTuple):
     """Nonvanishing table entry that triggers an exclusion."""
 
     j: int
@@ -176,8 +175,7 @@ class VanishingWitness:
     reason: str
 
 
-@dataclass(frozen=True)
-class CorobResult:
+class CorobResult(NamedTuple):
     flat_excluded: bool
     irreducible_excluded: bool
     witnesses: tuple

@@ -26,8 +26,8 @@ and every other case is decided over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ToolError
 from .idealcalc import buchberger, projective_dimension, standard_monomials
@@ -90,9 +90,8 @@ class ProjectivePoint(tuple):
         return f"ProjectivePoint{self}"
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    """Outcome of analyze_singularities.
+class SingularityReport(NamedTuple):
+    """Outcome of analyze_singularities, as a plain tuple of its fields.
 
     `complete` certifies that the listed nodes account for the entire
     Jacobian scheme (each with local multiplicity 1); `chart_degrees` are the

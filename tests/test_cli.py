@@ -2,6 +2,7 @@ import builtins
 import inspect
 import json
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -475,6 +476,101 @@ def test_oversized_restriction_refused_before_expansion(
     assert err.startswith(f"error [{code}]")
 
 
+def _scan_scenario(n_max, d_max, k_max):
+    return {"schema_version": 1, "name": "scan", "kind": "level1_scan",
+            "n_max": n_max, "d_max": d_max, "k_max": k_max}
+
+
+def _smooth_ci_scenario(n, degrees):
+    return {"schema_version": 1, "name": "ci", "kind": "smooth_ci",
+            "dimension": n, "degrees": list(degrees),
+            "hypotheses": {"H_nonconstant": True, "abelian_scheme": True}}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _smooth_ci_scenario(10**6, (3,)),
+        _smooth_ci_scenario(cli.DIMENSION_CAP + 1, (2,)),
+        {"schema_version": 1, "name": "q", "kind": "quadric_section", "arity": 10**6 + 2,
+         "quadric": "x0*x1", "smooth_family": {"dimension": 10**6, "degrees": [2]},
+         "section_smooth_flags": {"components_smooth_and_distinct": True},
+         "hypotheses": {"H_nonconstant": True, "abelian_scheme": True}},
+        _scan_scenario(10**9, 3, 1),
+        _scan_scenario(cli.SCAN_N_CAP + 2, 2, 1),
+        _scan_scenario(9, 10**18, 3),
+        _scan_scenario(9, 2, 10**18),
+        _scan_scenario(9, 10**18, 10**18),
+        _scan_scenario(11, 6, 4),  # 5 * 125 = 625 multidegrees, each bound under its cap
+    ],
+    ids=["ci-dimension-1e6", "ci-dimension-over-cap", "quadric-family-dimension-1e6",
+         "scan-n-max-1e9", "scan-n-max-over-cap", "scan-d-max-1e18", "scan-k-max-1e18",
+         "scan-both-1e18", "scan-box-625"],
+)
+def test_hodge_side_caps_refused_before_any_diamond(data, tmp_path, capsys):
+    path = write_scenario(tmp_path, data)
+    start = time.perf_counter()
+    exit_code, out, err = run_cli(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1.0
+    assert exit_code == 1
+    assert out == ""
+    assert err.startswith("error [cli.too_large]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hodge", "--n", str(10**9), "--degrees", "3"),
+     ("scan-level1", "--n-max", str(10**9)),
+     ("scan-level1", "--d-max", str(10**9))],
+    ids=["hodge", "scan-n-max", "scan-d-max"],
+)
+def test_hodge_side_caps_hold_on_subcommands(argv, capsys):
+    start = time.perf_counter()
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert exit_code == 1
+    assert out == ""
+    assert err.startswith("error [cli.too_large]")
+
+
+def test_scan_box_cap_counts_every_multidegree():
+    # the closed-form count against the enumeration scan_level1 runs
+    for n_max in range(3, cli.SCAN_N_CAP + 1):
+        for d_max in range(2, 9):
+            for k_max in range(1, 7):
+                size = sum(
+                    1
+                    for _ in range(3, n_max + 1, 2)
+                    for k in range(1, k_max + 1)
+                    for _ in combinations_with_replacement(range(2, d_max + 1), k)
+                )
+                try:
+                    validate_scenario(_scan_scenario(n_max, d_max, k_max))
+                    refused = False
+                except cli.TooLargeError:
+                    refused = True
+                assert refused == (size > cli.SCAN_BOX_CAP), (n_max, d_max, k_max, size)
+
+
+def test_caps_admit_every_bench_op_and_cli_default():
+    workloads = load_bench_module("workloads")
+    boxes = [box for _, tier in workloads.SCAN_TIERS for box in tier]
+    boxes.append((9, 6, 4))  # the scan-level1 defaults
+    for box in boxes:
+        validate_scenario(_scan_scenario(*box))
+    for n in {*workloads.CI_DIMENSIONS, *workloads.QUADRIC_DIMENSIONS}:
+        degrees = (workloads.DEGREE_MAX,) * workloads.K_MAX
+        validate_scenario(_smooth_ci_scenario(n, degrees))
+
+
+@pytest.mark.parametrize("data", [_scan_scenario(2, 10**18, 3), _scan_scenario(9, 1, 10**18),
+                                  _scan_scenario(9, 10**18, 0), _scan_scenario(9, -5, -5)],
+                         ids=["n-max-2", "d-max-1", "k-max-0", "negative"])
+def test_empty_scan_boxes_stay_hodge_errors(data):
+    with pytest.raises(hodgeci.HodgeError):
+        run(data)
+
+
 def test_hodge_rejects_degree_one(capsys):
     code, _, err = run_cli(capsys, "hodge", "--n", "3", "--degrees", "1,2")
     assert code == 1
@@ -517,3 +613,25 @@ def test_bench_round_answers_check(workload, size):
         report = run(validate_scenario(op.scenario))
         json.dumps(report, indent=2)
         assert workloads.check(op, report) is None, op.cls
+
+
+def _plain_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain_json(v) for v in value)
+    return value is None or type(value) in (str, int, bool)
+
+
+def test_reports_are_plain_json_values():
+    # every report is built from dicts, lists, str, int, bool and None only, so
+    # it equals its own JSON round trip (a tuple would come back as a list)
+    workloads = load_bench_module("workloads")
+    scenarios = [bundled_scenario(name) for name in GOLDENS]
+    for workload in ("sections", "extendability", "hodge"):
+        scenarios += [op.scenario for op in next(workloads.rounds_for(workload, 3))]
+    assert len(scenarios) == 70
+    for data in scenarios:
+        report = run(validate_scenario(data))
+        assert _plain_json(report), data["name"]
+        assert json.loads(json.dumps(report)) == report, data["name"]

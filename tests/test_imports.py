@@ -2,9 +2,13 @@
 module-level function or class of the package is read in its own module,
 every public module-level function and every public method or property of a
 package class is read somewhere in the package, and every public function of
-the shared test modules is read by some test file."""
+the shared test modules is read by some test file.  Importing `flatobs.cli`
+loads every layer and none of the standard-library modules kept out of
+start-up."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,3 +182,25 @@ def test_public_scan_finds_unread_functions():
 def test_no_unread_shared_test_functions(path):
     read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in TEST_FILES))
     assert unread_public_functions(path.read_text(encoding="utf-8"), read) == []
+
+
+LAYERS = ("polyring", "linalg", "idealcalc", "singular", "hodgeci", "bettisng", "obstruct", "cli")
+# standard-library modules the package uses only for CLI I/O, or not at all
+KEPT_OUT = ("dataclasses", "inspect", "argparse", "json")
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
+    # one fresh interpreter: the modules `import flatobs.cli` adds to the
+    # interpreter's own start-up set
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import flatobs.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    added = set(ast.literal_eval(done.stdout))
+    assert {f"flatobs.{layer}" for layer in LAYERS} <= added
+    assert added.isdisjoint(KEPT_OUT), sorted(added & set(KEPT_OUT))
