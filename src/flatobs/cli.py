@@ -73,8 +73,10 @@ class TooLargeError(CliError):
 #: degree-d variety; larger inputs are refused before the expansion.
 RESTRICTION_TERM_CAP = 10_000
 
-#: Hodge-side caps, checked before any diamond: dimension, scan n_max, scan box size.
+#: Hodge-side caps, checked before any diamond: dimension (also a section's,
+#: ambient_arity - 2), number of degrees, scan n_max, scan box size.
 DIMENSION_CAP = 40
+DEGREE_COUNT_CAP = 40
 SCAN_N_CAP = 11
 SCAN_BOX_CAP = 500
 
@@ -111,6 +113,10 @@ def _need_multidegree(data: dict, context: str) -> Multidegree:
     if n > DIMENSION_CAP:
         raise TooLargeError(f"{context}: dimension {n} is over the cap of {DIMENSION_CAP}")
     degrees = _need(data, "degrees", list, context)
+    if len(degrees) > DEGREE_COUNT_CAP:
+        raise TooLargeError(
+            f"{context}: {len(degrees)} degrees is over the cap of {DEGREE_COUNT_CAP}"
+        )
     if not degrees or any(not isinstance(d, int) or isinstance(d, bool) for d in degrees):
         raise SchemaError(f"{context}: 'degrees' must be a nonempty list of integers")
     return Multidegree(n, tuple(degrees))
@@ -132,6 +138,10 @@ def validate_scenario(data) -> dict:
         arity = _need(data, "ambient_arity", int, context)
         if arity < 4:
             raise SchemaError(f"{context}: ambient_arity must be at least 4")
+        if arity - 2 > DIMENSION_CAP:
+            raise TooLargeError(
+                f"{context}: section dimension {arity - 2} is over the cap of {DIMENSION_CAP}"
+            )
         _need(data, "variety", str, context)
         _need(data, "hyperplane", str, context)
         eliminate = _need(data, "eliminate", int, context)

@@ -24,13 +24,12 @@ ideal: Macaulay-matrix ranks can only drop mod p, so the Hilbert function
 over F_p is at least the one over Q and the projective dimension over F_p is
 an upper bound for the one over Q.  Callers may use a mod-p result only to
 confirm a bound of that direction and must fall back to Q otherwise; the
-extendability certificate in `singular` does so with p = 2^31 - 1.
+singular-locus certificate in `singular` does so with p = 2^31 - 1.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
 from operator import add, le, sub
 
 from .errors import ToolError
@@ -384,21 +383,32 @@ def projective_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the projective zero set; -1 when it is empty.
 
     Computed as (size of the largest variable subset independent modulo the
-    leading-term ideal) - 1, searching subsets largest-first.  Exhaustive in
-    the arity, which is fine at this package's working scale.  For a basis
-    mod p this is the dimension of the reduced ideal's zero set over the
-    algebraic closure of F_p.
+    leading-term ideal) - 1 by `_largest_independent`.  For a basis mod p
+    this is the dimension of the reduced ideal's zero set over the algebraic
+    closure of F_p.
     """
     if any(not g.is_homogeneous for g in gb.generators):
         raise IdealError("projective dimension needs homogeneous generators")
-    leads = gb.leads
-    if any(sum(lm) == 0 for lm in leads):
-        return -1  # unit ideal: empty cone
-    arity = gb.arity
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leads]
-    for size in range(arity, 0, -1):
-        for subset in combinations(range(arity), size):
-            chosen = set(subset)
-            if all(not s <= chosen for s in supports):
-                return size - 1
-    return -1  # only the empty subset is independent: cone is the origin
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leads]
+    return _largest_independent(frozenset(range(gb.arity)), supports) - 1
+
+
+def _largest_independent(free: frozenset, supports: list) -> int:
+    """Size of the largest subset of `free` that contains no support.
+
+    Such a subset leaves out a variable of every support inside `free`: a
+    one-variable support is left out at once, and otherwise the search
+    branches on the variables of the smallest support.  An empty support
+    (the unit ideal) leaves nothing.  The branching is still exponential on
+    adversarial lead sets; a Hilbert series of the leads would bound it.
+    """
+    inside = [s for s in supports if s <= free]
+    while inside:
+        smallest = min(inside, key=len)
+        if not smallest:
+            return 0
+        if len(smallest) > 1:
+            return max(_largest_independent(free - {v}, inside) for v in smallest)
+        free = free - smallest
+        inside = [s for s in inside if s <= free]
+    return len(free)

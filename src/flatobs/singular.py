@@ -19,9 +19,9 @@ H(p) p = (d-1) grad f(p) = 0 at a singular point p, and H is symmetric, so
 the full projective Hessian has the same rank as the chart Hessian: a node
 is a point where it has rank arity - 1.
 
-Only `extendability` uses modular arithmetic, as a one-way certificate: a
-singular locus of dimension <= 0 mod p = 2^31 - 1 proves the answer True,
-and every other case is decided over Q.
+Modular arithmetic lives only in `_locus_dimension`, as a one-way
+certificate: a locus of dimension -1 (smooth) or <= 0 (extendable) mod
+p = 2^31 - 1 proves the same over Q; every other case is decided over Q.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ NODE = "node"
 NON_NODE_ISOLATED = "non-node-isolated"
 UNVERIFIED = "unverified"
 
-#: Prime of the one-way mod-p certificate in `extendability`.
+#: Prime of the one-way mod-p certificate in `_locus_dimension`.
 CERTIFICATE_PRIME = 2**31 - 1
 
 
@@ -148,14 +148,15 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
     Candidates must be singular points of V(f): a candidate off V(f), or
     one where some partial is nonzero, is an error.  Node classification
     requires the projective Hessian to have rank arity - 1, exactly over Q.
+    With no candidates, an empty locus may be proved mod p; a candidate is
+    singular or an error, so then the locus is not empty and Q decides.
     """
     partials = jacobian_ideal(f)
     arity = f.arity
-    locus = projective_dimension(buchberger([*partials, f]))
+    locus = _locus_dimension(f, partials, None if candidate_points else -1)
 
     upper = None  # second partials f_jk, j <= k; built at the first candidate that needs them
     classified = []
-    notes = []
     for pt in sorted(set(candidate_points)):
         if len(pt) != arity:
             raise SingularError(
@@ -177,18 +178,10 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
         classified.append((pt, NODE if rank == arity - 1 else NON_NODE_ISOLATED))
 
     if locus > 0:
-        if candidate_points:
-            notes.append(
-                "singular locus is positive-dimensional; no point classification attempted"
-            )
-        return SingularityReport(
-            locus_dimension=locus,
-            jacobian_quotient_degree=None,
-            points=tuple(classified),
-            complete=False,
-            chart_degrees=None,
-            notes=tuple(notes),
-        )
+        note = "singular locus is positive-dimensional; no point classification attempted"
+        return SingularityReport(locus_dimension=locus, jacobian_quotient_degree=None,
+                                 points=tuple(classified), complete=False,
+                                 notes=(note,) if candidate_points else ())
 
     # degree accounting per affine chart; an empty locus has unit chart ideals
     chart_degrees = [0] * arity
@@ -202,35 +195,40 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
     complete = all(cls == NODE for _, cls in classified) and all(
         d == v for d, v in zip(chart_degrees, visible)
     )
-    return SingularityReport(
-        locus_dimension=locus,
-        jacobian_quotient_degree=len(nodes) if complete else None,
-        points=tuple(classified),
-        complete=complete,
-        chart_degrees=tuple(chart_degrees),
-        notes=tuple(notes),
-    )
+    return SingularityReport(locus_dimension=locus,
+                             jacobian_quotient_degree=len(nodes) if complete else None,
+                             points=tuple(classified), complete=complete,
+                             chart_degrees=tuple(chart_degrees))
+
+
+def _locus_dimension(f: MultiPoly, partials: list, bound: int | None) -> int:
+    """Dimension of the singular locus V(partials, f) over Q, or `bound` if at most that.
+
+    Given a `bound`, the ideal is first reduced mod p = CERTIFICATE_PRIME,
+    when p divides no coefficient denominator of f and f is not 0 mod p.
+    The Hilbert function only grows mod p (Cox-Little-O'Shea, section 9.3),
+    so a mod-p dimension <= `bound` proves the same over Q, and `bound` is
+    returned: exact for bound -1.  Every other case is decided over Q.
+    """
+    gens = [*partials, f]
+    p = CERTIFICATE_PRIME
+    coefficients = f.terms.values()
+    if (
+        bound is not None
+        and all(c.denominator % p for c in coefficients)
+        and any(c.numerator % p for c in coefficients)
+        and projective_dimension(buchberger(gens, modulus=p)) <= bound
+    ):
+        return bound
+    return projective_dimension(buchberger(gens))
 
 
 def extendability(f: MultiPoly) -> bool:
     """Whether V(f) in P^{N-1} is a hyperplane section of a smooth hypersurface.
 
     Equivalent criterion: the singular locus has dimension <= 0 (isolated
-    singularities or smooth).  Only the locus dimension is computed here;
-    use analyze_singularities for the full certificate.
-
-    The same generators are first reduced mod p = CERTIFICATE_PRIME, when p
-    divides no coefficient denominator of f and f is not 0 mod p.  The locus
-    over F_p is then at least as large as over Q, so dimension <= 0 mod p
-    proves the answer True; any other mod-p outcome proves nothing, and the
-    exact computation over Q decides.
+    singularities or smooth).  Only the locus dimension is computed here,
+    mod p first (`_locus_dimension`); use analyze_singularities for the
+    full certificate.
     """
-    partials = jacobian_ideal(f)
-    gens = [*partials, f]
-    p = CERTIFICATE_PRIME
-    reducible = all(c.denominator % p for c in f.terms.values()) and any(
-        c.numerator % p for c in f.terms.values()
-    )
-    if reducible and projective_dimension(buchberger(gens, modulus=p)) <= 0:
-        return True
-    return projective_dimension(buchberger(gens)) <= 0
+    return _locus_dimension(f, jacobian_ideal(f), 0) <= 0

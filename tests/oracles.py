@@ -5,6 +5,7 @@ container with the package, not its arithmetic: sums and products term by
 term through the constructor, multinomial expansion by enumeration,
 rank by plain fraction Gaussian elimination, monomial counting by direct
 iteration, Gröbner bases by Buchberger's algorithm with every pair reduced,
+the projective dimension of a lead set by scanning every variable subset,
 exponent arithmetic by generators over `zip`, point evaluation term by term
 in `Fraction`s, Hodge numbers of complete intersections from Hirzebruch's
 chi_y generating function, the Chern characters ch(Lambda^p Omega_X) as
@@ -12,7 +13,7 @@ chi_y generating function, the Chern characters ch(Lambda^p Omega_X) as
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 from operator import neg
 
@@ -323,6 +324,22 @@ def naive_quotient_dimension(gens, modulus=None):
     if None in powers:
         return None
     return len(brute_standard_monomials(leads, arity, sum(powers)))
+
+
+def subset_scan_dimension(leads, arity):
+    """Projective dimension of the zero set of a monomial ideal, by subset scan.
+
+    (size of the largest variable subset containing the support of no lead)
+    - 1, trying every subset largest first; -1 for the unit ideal.
+    """
+    if any(sum(lm) == 0 for lm in leads):
+        return -1
+    supports = [{i for i, e in enumerate(lm) if e} for lm in leads]
+    for size in range(arity, 0, -1):
+        for subset in combinations(range(arity), size):
+            if all(not s <= set(subset) for s in supports):
+                return size - 1
+    return -1
 
 
 def naive_chart_degrees(f):

@@ -481,6 +481,13 @@ def _scan_scenario(n_max, d_max, k_max):
             "n_max": n_max, "d_max": d_max, "k_max": k_max}
 
 
+def _section_scenario(arity):
+    return {"schema_version": 1, "name": "section", "kind": "hypersurface_section",
+            "ambient_arity": arity, "variety": "+".join(f"x{i}^2" for i in range(arity)),
+            "hyperplane": "x0+x1", "eliminate": 0,
+            "hypotheses": {"H_nonconstant": True, "abelian_scheme": True}}
+
+
 def _smooth_ci_scenario(n, degrees):
     return {"schema_version": 1, "name": "ci", "kind": "smooth_ci",
             "dimension": n, "degrees": list(degrees),
@@ -502,10 +509,19 @@ def _smooth_ci_scenario(n, degrees):
         _scan_scenario(9, 2, 10**18),
         _scan_scenario(9, 10**18, 10**18),
         _scan_scenario(11, 6, 4),  # 5 * 125 = 625 multidegrees, each bound under its cap
+        _smooth_ci_scenario(40, (2,) * 800),
+        _smooth_ci_scenario(3, range(2, cli.DEGREE_COUNT_CAP + 3)),
+        {"schema_version": 1, "name": "q", "kind": "quadric_section", "arity": 3 + 200 + 1,
+         "quadric": "x0*x1", "smooth_family": {"dimension": 3, "degrees": [2] * 200},
+         "section_smooth_flags": {"components_smooth_and_distinct": True},
+         "hypotheses": {"H_nonconstant": True, "abelian_scheme": True}},
+        _section_scenario(141),  # a quadric passes the restriction cap; V_139(2)
+        _section_scenario(cli.DIMENSION_CAP + 3),
     ],
     ids=["ci-dimension-1e6", "ci-dimension-over-cap", "quadric-family-dimension-1e6",
          "scan-n-max-1e9", "scan-n-max-over-cap", "scan-d-max-1e18", "scan-k-max-1e18",
-         "scan-both-1e18", "scan-box-625"],
+         "scan-both-1e18", "scan-box-625", "ci-800-degrees", "ci-degrees-over-cap",
+         "quadric-family-200-degrees", "section-arity-141", "section-dimension-over-cap"],
 )
 def test_hodge_side_caps_refused_before_any_diamond(data, tmp_path, capsys):
     path = write_scenario(tmp_path, data)
@@ -517,12 +533,18 @@ def test_hodge_side_caps_refused_before_any_diamond(data, tmp_path, capsys):
     assert err.startswith("error [cli.too_large]")
 
 
+def test_new_caps_admit_their_boundaries():
+    validate_scenario(_section_scenario(cli.DIMENSION_CAP + 2))
+    validate_scenario(_smooth_ci_scenario(cli.DIMENSION_CAP, range(2, cli.DEGREE_COUNT_CAP + 2)))
+
+
 @pytest.mark.parametrize(
     "argv",
     [("hodge", "--n", str(10**9), "--degrees", "3"),
      ("scan-level1", "--n-max", str(10**9)),
-     ("scan-level1", "--d-max", str(10**9))],
-    ids=["hodge", "scan-n-max", "scan-d-max"],
+     ("scan-level1", "--d-max", str(10**9)),
+     ("hodge", "--n", "40", "--degrees", ",".join(["2"] * 800))],
+    ids=["hodge", "scan-n-max", "scan-d-max", "hodge-800-degrees"],
 )
 def test_hodge_side_caps_hold_on_subcommands(argv, capsys):
     start = time.perf_counter()

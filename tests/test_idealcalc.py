@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatobs.idealcalc import (
+    GroebnerBasis,
     IdealError,
     _Kernel,
     _Reducers,
@@ -14,7 +15,7 @@ from flatobs.idealcalc import (
 )
 from flatobs.polyring import MultiPoly, dehomogenize, monomials_of_degree, parse_poly
 
-from corpus import ideal_corpus, segre_cubic
+from corpus import hypersurface_corpus, ideal_corpus, segre_cubic
 from oracles import (
     brute_standard_monomials,
     naive_add,
@@ -24,6 +25,7 @@ from oracles import (
     naive_normal_form,
     naive_quotient_dimension,
     naive_s_polynomial,
+    subset_scan_dimension,
 )
 
 PRIME = 2**31 - 1
@@ -332,6 +334,43 @@ def test_projective_dimension_requires_homogeneous():
 def test_single_hypersurface_dimension(arity, text):
     gb = buchberger([P(text, arity)])
     assert projective_dimension(gb) == arity - 2
+
+
+def lead_ideal(arity, leads):
+    """The monomial ideal of `leads` as a basis, for `projective_dimension`."""
+    return GroebnerBasis(tuple(MultiPoly(arity, {m: 1}) for m in leads), tuple(leads))
+
+
+@st.composite
+def lead_sets(draw):
+    arity = draw(st.integers(1, 9))
+    monomial = st.tuples(*[st.integers(0, 2)] * arity)
+    return arity, draw(st.lists(monomial, min_size=1, max_size=8))
+
+
+@given(lead_sets())
+@settings(max_examples=300, deadline=None)
+def test_projective_dimension_matches_subset_scan(lead_set):
+    arity, leads = lead_set
+    assert projective_dimension(lead_ideal(arity, leads)) == subset_scan_dimension(leads, arity)
+
+
+def corpus_bases():
+    """Every basis of the two corpora, over Q and mod p: ideals, and loci [df, f]."""
+    ideals = [gens for _, gens in ideal_corpus()]
+    ideals += [[*(f.partial_derivative(i) for i in range(f.arity)), f]
+               for _, f in hypersurface_corpus()]
+    return [buchberger(gens, modulus=p) for gens in ideals for p in (None, PRIME)]
+
+
+def test_projective_dimension_matches_subset_scan_on_corpus_bases():
+    bases = corpus_bases()
+    assert len(bases) == 64
+    for gb in bases:
+        expected = subset_scan_dimension(gb.leads, gb.arity)
+        assert projective_dimension(lead_ideal(gb.arity, gb.leads)) == expected
+        if all(g.is_homogeneous for g in gb):
+            assert projective_dimension(gb) == expected
 
 
 # -- linalg cross-check -----------------------------------------------

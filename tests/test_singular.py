@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatobs import singular
+from flatobs.cli import run, validate_scenario
 from flatobs.idealcalc import buchberger, projective_dimension
 from flatobs.polyring import MultiPoly, monomials_of_degree, parse_poly, restrict_to_hyperplane
 from flatobs.singular import (
@@ -264,16 +266,17 @@ def dense_quartic_surface(seed):
     return MultiPoly(4, {m: rng.randint(-9, 9) for m in monomials_of_degree(4, 4)})
 
 
-@pytest.mark.parametrize("f, locus, calls", [
-    (dense_quartic_surface(0), -1, 1),  # the locus basis only
-    (segre_cubic(), 0, 6),  # the locus basis and one basis per chart
-    (P("x0^3+x1^3+x2^3", 5), 1, 1),  # a cone: no chart degrees at all
+@pytest.mark.parametrize("f, locus, chart_bases", [
+    (dense_quartic_surface(0), -1, 0),  # the mod-p locus basis proves it empty
+    (segre_cubic(), 0, 5),  # the locus over Q, and one basis per chart
+    (P("x0^3+x1^3+x2^3", 5), 1, 0),  # a cone: no chart degrees at all
 ], ids=["dense-quartic", "segre", "cone"])
-def test_chart_bases_only_for_isolated_points(f, locus, calls, monkeypatch):
+def test_chart_bases_only_for_isolated_points(f, locus, chart_bases, monkeypatch):
     moduli = recorded_moduli(monkeypatch)
     report = analyze_singularities(f)
     assert report.locus_dimension == locus
-    assert moduli == [None] * calls  # every basis over Q
+    # a locus basis mod p, then over Q unless it proved the locus empty
+    assert moduli == [PRIME] + [None] * (chart_bases + (locus >= 0))
     if locus < 0:
         assert report.chart_degrees == (0,) * f.arity
 
@@ -381,3 +384,75 @@ def test_certificate_confirms_without_q(monkeypatch):
     moduli = recorded_moduli(monkeypatch)
     assert extendability(P("x0^3+x1^3+x2^3+x3^3", 4)) is True
     assert moduli == [PRIME]
+
+
+SMOOTH_SECTION = restrict_to_hyperplane(
+    P("x0^3+x1^3+x2^3+x3^3+x4^3+x5^3", 6), P("x0+2x1+3x2+4x3+5x4+6x5", 6), 5
+)
+BAD_REDUCTION_QUADRIC = MultiPoly(
+    4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): PRIME, (0, 0, 0, 2): PRIME}
+)
+
+
+@pytest.mark.parametrize("f, candidates, locus, expected", [
+    (SMOOTH_SECTION, [], -1, [PRIME]),  # proved smooth mod p
+    (segre_cubic(), segre_nodes(), 0, [None] * 6),  # listed nodes: Q, then the charts
+    (P(f"x0^2+x1^2+1/{PRIME}*x2^2", 3), [], -1, [None]),  # p in a denominator
+    (P(f"{PRIME}x0^2+{2 * PRIME}x1^2+{PRIME}x2^2", 3), [], -1, [None]),  # f is 0 mod p
+    (BAD_REDUCTION_QUADRIC, [], -1, [PRIME, None]),  # singular mod p, smooth over Q
+], ids=["smooth-section", "segre-nodes", "prime-in-denominator", "zero-mod-p", "bad-reduction"])
+def test_analyze_locus_routes(f, candidates, locus, expected, monkeypatch):
+    moduli = recorded_moduli(monkeypatch)
+    assert analyze_singularities(f, candidates).locus_dimension == locus
+    assert moduli == expected
+
+
+def test_forced_fallback_changes_no_report(monkeypatch):
+    # the mod-p step proves nothing on every call: every locus is then decided
+    # over Q, and the reports must be those of the default run
+    workloads = load_bench_module("workloads")
+    scenarios = [op.scenario for workload in ("sections", "extendability")
+                 for op in next(workloads.rounds_for(workload, 3))]
+
+    def reports():
+        out = [run(validate_scenario(data)) for data in scenarios]
+        for _, f in hypersurface_corpus():
+            out.append((analyze_singularities(f), extendability(f)))
+        return out
+
+    default = reports()
+    refuted = []
+
+    def no_certificate(gb):
+        if gb.modulus is None:
+            return projective_dimension(gb)
+        refuted.append(gb.modulus)
+        return gb.arity  # above every bound
+
+    monkeypatch.setattr(singular, "projective_dimension", no_certificate)
+    assert reports() == default
+    # one mod-p locus per extendability op, per section with no candidates
+    # and per corpus form for each of the two routines
+    no_candidates = [data for data in scenarios if not data.get("candidate_singular_points")]
+    assert len(refuted) == len(no_candidates) + 2 * len(hypersurface_corpus())
+
+
+# -- inputs of large arity -------------------------------------------------
+
+def quadric(arity):
+    return P("+".join(f"x{i}^2" for i in range(arity)), arity)
+
+
+@pytest.mark.parametrize("case", ["quadric-section-40", "quadric-40", "two-squares-20000"])
+def test_large_arity_loci_end_quickly(case):
+    start = time.perf_counter()
+    if case == "quadric-section-40":
+        hyperplane = P("+".join(f"{i + 1}x{i}" for i in range(40)), 40)
+        section = restrict_to_hyperplane(quadric(40), hyperplane, 0)
+        assert analyze_singularities(section).locus_dimension == -1
+        assert projective_dimension(buchberger([*jacobian_ideal(section), section])) == -1
+    elif case == "quadric-40":
+        assert extendability(quadric(40)) is True
+    else:
+        assert extendability(P("x0^2+x1^2", 20_000)) is False
+    assert time.perf_counter() - start < 1.0
