@@ -74,9 +74,11 @@ class TooLargeError(CliError):
 RESTRICTION_TERM_CAP = 10_000
 
 #: Hodge-side caps, checked before any diamond: dimension (also a section's,
-#: ambient_arity - 2), number of degrees, scan n_max, scan box size.
+#: ambient_arity - 2), number of degrees, size of each degree, scan n_max,
+#: scan box size.
 DIMENSION_CAP = 40
 DEGREE_COUNT_CAP = 40
+DEGREE_CAP = 100
 SCAN_N_CAP = 11
 SCAN_BOX_CAP = 500
 
@@ -119,6 +121,8 @@ def _need_multidegree(data: dict, context: str) -> Multidegree:
         )
     if not degrees or any(not isinstance(d, int) or isinstance(d, bool) for d in degrees):
         raise SchemaError(f"{context}: 'degrees' must be a nonempty list of integers")
+    if max(degrees) > DEGREE_CAP:
+        raise TooLargeError(f"{context}: degree {max(degrees)} is over the cap of {DEGREE_CAP}")
     return Multidegree(n, tuple(degrees))
 
 
@@ -201,7 +205,8 @@ def validate_scenario(data) -> dict:
     return data
 
 
-def load_scenario(path: str) -> dict:
+def load_scenario(path: str):
+    """The parsed JSON of a scenario file; `run` validates it."""
     import json
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -210,14 +215,15 @@ def load_scenario(path: str) -> dict:
         raise CliError(f"cannot read scenario file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
-    return validate_scenario(data)
+    return data
 
 
 def bundled_scenario(name: str) -> dict:
+    """The parsed JSON of a bundled scenario; `run` validates it."""
     import json
     from importlib import resources
     ref = resources.files("flatobs").joinpath("scenarios", f"{name}.json")
-    return validate_scenario(json.loads(ref.read_text(encoding="utf-8")))
+    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 # -- verdict assembly --------------------------------------------------

@@ -20,8 +20,8 @@ the full projective Hessian has the same rank as the chart Hessian: a node
 is a point where it has rank arity - 1.
 
 Modular arithmetic lives only in `_locus_dimension`, as a one-way
-certificate: a locus of dimension -1 (smooth) or <= 0 (extendable) mod
-p = 2^31 - 1 proves the same over Q; every other case is decided over Q.
+certificate: a locus of dimension <= -1, or <= 0 with candidates or for
+extendability, mod p = 2^31 - 1 proves the same over Q; Q decides the rest.
 """
 
 from __future__ import annotations
@@ -148,16 +148,17 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
     Candidates must be singular points of V(f): a candidate off V(f), or
     one where some partial is nonzero, is an error.  Node classification
     requires the projective Hessian to have rank arity - 1, exactly over Q.
-    With no candidates, an empty locus may be proved mod p; a candidate is
-    singular or an error, so then the locus is not empty and Q decides.
+    The locus is bounded mod p by -1 with no candidates, else by 0: every
+    returned report has a verified candidate, so its locus is not empty.
     """
     partials = jacobian_ideal(f)
     arity = f.arity
-    locus = _locus_dimension(f, partials, None if candidate_points else -1)
+    points = sorted(set(candidate_points))
+    locus = _locus_dimension(f, partials, 0 if points else -1)
 
     upper = None  # second partials f_jk, j <= k; built at the first candidate that needs them
     classified = []
-    for pt in sorted(set(candidate_points)):
+    for pt in points:
         if len(pt) != arity:
             raise SingularError(
                 f"candidate {pt} has {len(pt)} coordinates, expected {arity}"
@@ -181,7 +182,7 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
         note = "singular locus is positive-dimensional; no point classification attempted"
         return SingularityReport(locus_dimension=locus, jacobian_quotient_degree=None,
                                  points=tuple(classified), complete=False,
-                                 notes=(note,) if candidate_points else ())
+                                 notes=(note,) if points else ())
 
     # degree accounting per affine chart; an empty locus has unit chart ideals
     chart_degrees = [0] * arity
@@ -201,21 +202,20 @@ def analyze_singularities(f: MultiPoly, candidate_points=()) -> SingularityRepor
                              chart_degrees=tuple(chart_degrees))
 
 
-def _locus_dimension(f: MultiPoly, partials: list, bound: int | None) -> int:
+def _locus_dimension(f: MultiPoly, partials: list, bound: int) -> int:
     """Dimension of the singular locus V(partials, f) over Q, or `bound` if at most that.
 
-    Given a `bound`, the ideal is first reduced mod p = CERTIFICATE_PRIME,
-    when p divides no coefficient denominator of f and f is not 0 mod p.
-    The Hilbert function only grows mod p (Cox-Little-O'Shea, section 9.3),
-    so a mod-p dimension <= `bound` proves the same over Q, and `bound` is
-    returned: exact for bound -1.  Every other case is decided over Q.
+    The ideal is first reduced mod p = CERTIFICATE_PRIME, when p divides no
+    coefficient denominator of f and f is not 0 mod p.  The Hilbert function
+    only grows mod p (Cox-Little-O'Shea, section 9.3), so a mod-p dimension
+    <= `bound` proves the same over Q, and `bound` is returned: exact for -1,
+    and for 0 once the locus has a point.  Every other case is decided over Q.
     """
     gens = [*partials, f]
     p = CERTIFICATE_PRIME
     coefficients = f.terms.values()
     if (
-        bound is not None
-        and all(c.denominator % p for c in coefficients)
+        all(c.denominator % p for c in coefficients)
         and any(c.numerator % p for c in coefficients)
         and projective_dimension(buchberger(gens, modulus=p)) <= bound
     ):

@@ -13,7 +13,6 @@ from flatobs.cli import (
     CliError,
     SchemaError,
     bundled_scenario,
-    load_scenario,
     main,
     render_text,
     run,
@@ -517,11 +516,13 @@ def _smooth_ci_scenario(n, degrees):
          "hypotheses": {"H_nonconstant": True, "abelian_scheme": True}},
         _section_scenario(141),  # a quadric passes the restriction cap; V_139(2)
         _section_scenario(cli.DIMENSION_CAP + 3),
+        _smooth_ci_scenario(40, range(1000, 1040)),  # about 12 s of diamond without the cap
     ],
     ids=["ci-dimension-1e6", "ci-dimension-over-cap", "quadric-family-dimension-1e6",
          "scan-n-max-1e9", "scan-n-max-over-cap", "scan-d-max-1e18", "scan-k-max-1e18",
          "scan-both-1e18", "scan-box-625", "ci-800-degrees", "ci-degrees-over-cap",
-         "quadric-family-200-degrees", "section-arity-141", "section-dimension-over-cap"],
+         "quadric-family-200-degrees", "section-arity-141", "section-dimension-over-cap",
+         "ci-degrees-1000-1039"],
 )
 def test_hodge_side_caps_refused_before_any_diamond(data, tmp_path, capsys):
     path = write_scenario(tmp_path, data)
@@ -538,13 +539,21 @@ def test_new_caps_admit_their_boundaries():
     validate_scenario(_smooth_ci_scenario(cli.DIMENSION_CAP, range(2, cli.DEGREE_COUNT_CAP + 2)))
 
 
+def test_degree_cap_admits_its_boundary():
+    top = range(cli.DEGREE_CAP - cli.DEGREE_COUNT_CAP + 1, cli.DEGREE_CAP + 1)
+    validate_scenario(_smooth_ci_scenario(cli.DIMENSION_CAP, top))
+    with pytest.raises(cli.TooLargeError, match=f"degree {cli.DEGREE_CAP + 1} is over the cap"):
+        validate_scenario(_smooth_ci_scenario(3, (2, cli.DEGREE_CAP + 1)))
+
+
 @pytest.mark.parametrize(
     "argv",
     [("hodge", "--n", str(10**9), "--degrees", "3"),
      ("scan-level1", "--n-max", str(10**9)),
      ("scan-level1", "--d-max", str(10**9)),
-     ("hodge", "--n", "40", "--degrees", ",".join(["2"] * 800))],
-    ids=["hodge", "scan-n-max", "scan-d-max", "hodge-800-degrees"],
+     ("hodge", "--n", "40", "--degrees", ",".join(["2"] * 800)),
+     ("hodge", "--n", "40", "--degrees", ",".join(map(str, range(1000, 1040))))],
+    ids=["hodge", "scan-n-max", "scan-d-max", "hodge-800-degrees", "hodge-degrees-1000-1039"],
 )
 def test_hodge_side_caps_hold_on_subcommands(argv, capsys):
     start = time.perf_counter()
@@ -605,11 +614,31 @@ def test_exit_code_two_on_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_load_scenario_validates(tmp_path):
+def test_analyze_refuses_schema_invalid_file(tmp_path, capsys):
+    # load_scenario refuses text that is not JSON; run refuses JSON off the schema
     path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(SchemaError):
-        load_scenario(str(path))
+    for text in ["not json", json.dumps({"schema_version": 1, "kind": "smooth_ci"})]:
+        path.write_text(text)
+        exit_code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (exit_code, out) == (1, "")
+        assert err.startswith("error [cli.schema]"), text
+
+
+def test_each_scenario_validated_once(tmp_path, capsys, monkeypatch):
+    # load_scenario and bundled_scenario only parse; run is the one validator
+    validated = []
+
+    def counting(data):
+        validated.append(data)
+        return validate_scenario(data)
+
+    monkeypatch.setattr(cli, "validate_scenario", counting)
+    scenarios = [bundled_scenario(name) for name in GOLDENS]
+    assert run_cli(capsys, "analyze", write_scenario(tmp_path, scenarios[0]))[0] == 0
+    assert validated == [scenarios[0]]
+    validated.clear()
+    assert run_cli(capsys, "selftest")[0] == 0
+    assert validated == scenarios  # the selftest runs the goldens in this order
 
 
 # -- bench trace bindings and answers ------------------------------------------

@@ -394,16 +394,38 @@ BAD_REDUCTION_QUADRIC = MultiPoly(
 )
 
 
-@pytest.mark.parametrize("f, candidates, locus, expected", [
-    (SMOOTH_SECTION, [], -1, [PRIME]),  # proved smooth mod p
-    (segre_cubic(), segre_nodes(), 0, [None] * 6),  # listed nodes: Q, then the charts
-    (P(f"x0^2+x1^2+1/{PRIME}*x2^2", 3), [], -1, [None]),  # p in a denominator
-    (P(f"{PRIME}x0^2+{2 * PRIME}x1^2+{PRIME}x2^2", 3), [], -1, [None]),  # f is 0 mod p
-    (BAD_REDUCTION_QUADRIC, [], -1, [PRIME, None]),  # singular mod p, smooth over Q
-], ids=["smooth-section", "segre-nodes", "prime-in-denominator", "zero-mod-p", "bad-reduction"])
-def test_analyze_locus_routes(f, candidates, locus, expected, monkeypatch):
+CONE_POINT = ProjectivePoint([0, 0, 0, 1, 1])
+CUSP_POINT = ProjectivePoint([0, 0, 1])
+APEX = ProjectivePoint([0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("f, candidates, fields, expected", [
+    (SMOOTH_SECTION, [], {"locus_dimension": -1}, [PRIME]),  # proved smooth mod p
+    # listed nodes: the locus is nonempty, so mod p proves dimension 0; then the charts
+    (segre_cubic(), segre_nodes(), {"locus_dimension": 0}, [PRIME] + [None] * 5),
+    (P(f"x0^2+x1^2+1/{PRIME}*x2^2", 3), [], {"locus_dimension": -1}, [None]),  # p in a denominator
+    (P(f"x0^2+x1^2-1/{PRIME}*x2^2", 4), [APEX],  # p in a denominator, with a listed node
+     {"locus_dimension": 0, "points": ((APEX, NODE),), "complete": True}, [None] * 5),
+    (P(f"{PRIME}x0^2+{2 * PRIME}x1^2+{PRIME}x2^2", 3), [], {"locus_dimension": -1}, [None]),
+    (BAD_REDUCTION_QUADRIC, [], {"locus_dimension": -1}, [PRIME, None]),  # singular mod p only
+    (P("x0^3+x1^3+x2^3", 5), [CONE_POINT],  # a line mod p and over Q
+     {"locus_dimension": 1, "points": ((CONE_POINT, UNVERIFIED),)}, [PRIME, None]),
+    (P("x1^2*x2 - x0^3", 3), [CUSP_POINT],  # a cusp: chart 2 counts its length 2
+     {"locus_dimension": 0, "points": ((CUSP_POINT, NON_NODE_ISOLATED),), "complete": False,
+      "chart_degrees": (0, 0, 2)}, [PRIME, None, None, None]),
+    # a smooth point is refused after the mod-p run, whatever that run proved
+    (segre_cubic(), [ProjectivePoint([1, -1, 0, 0, 0])], None, [PRIME]),
+], ids=["smooth-section", "segre-nodes", "prime-in-denominator", "prime-in-denominator-node",
+        "zero-mod-p", "bad-reduction", "cone-candidate", "cusp-candidate", "smooth-candidate"])
+def test_analyze_locus_routes(f, candidates, fields, expected, monkeypatch):
     moduli = recorded_moduli(monkeypatch)
-    assert analyze_singularities(f, candidates).locus_dimension == locus
+    if fields is None:
+        with pytest.raises(SingularError, match="smooth point") as err:
+            analyze_singularities(f, candidates)
+        assert err.value.code == "singular.invalid"
+    else:
+        report = analyze_singularities(f, candidates)
+        assert {key: getattr(report, key) for key in fields} == fields
     assert moduli == expected
 
 
@@ -431,10 +453,9 @@ def test_forced_fallback_changes_no_report(monkeypatch):
 
     monkeypatch.setattr(singular, "projective_dimension", no_certificate)
     assert reports() == default
-    # one mod-p locus per extendability op, per section with no candidates
-    # and per corpus form for each of the two routines
-    no_candidates = [data for data in scenarios if not data.get("candidate_singular_points")]
-    assert len(refuted) == len(no_candidates) + 2 * len(hypersurface_corpus())
+    # one mod-p locus per section and per extendability op, and per corpus
+    # form for each of the two routines
+    assert len(refuted) == len(scenarios) + 2 * len(hypersurface_corpus())
 
 
 # -- inputs of large arity -------------------------------------------------
